@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -121,6 +122,49 @@ BENCHMARK_F(LsmFixture, PointLookupMissBloomFiltered)(benchmark::State& state) {
   }
 }
 
+// The index-to-primary fetch shape: 256 sorted keys per call, every 8th key
+// of a 2,048-key window (the window slides between calls). `us_per_key` is
+// the figure to set beside PointLookupHit's time per lookup.
+constexpr int64_t kFetchBatch = 256;
+constexpr int64_t kFetchStride = 8;
+
+std::vector<std::vector<storage::CompositeKey>> SortedFetchBatches(
+    int64_t num_keys) {
+  std::vector<std::vector<storage::CompositeKey>> batches;
+  const int64_t span = kFetchBatch * kFetchStride;
+  for (int64_t start = 0; start + span <= num_keys; start += span + 97) {
+    std::vector<storage::CompositeKey> keys;
+    for (int64_t i = 0; i < kFetchBatch; ++i) {
+      keys.push_back({Value::Int64(start + i * kFetchStride)});
+    }
+    batches.push_back(std::move(keys));
+  }
+  return batches;
+}
+
+void RunMultiGet(storage::LsmBTree* tree, int64_t num_keys,
+                 benchmark::State& state) {
+  auto batches = SortedFetchBatches(num_keys);
+  std::vector<storage::LsmBTree::LookupResult> out;
+  size_t b = 0;
+  auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    (void)tree->MultiGet(batches[b++ % batches.size()], &out, nullptr);
+    benchmark::DoNotOptimize(out.data());
+  }
+  double us = std::chrono::duration<double, std::micro>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
+  state.counters["us_per_key"] =
+      us / (static_cast<double>(state.iterations()) * kFetchBatch);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kFetchBatch);
+}
+
+BENCHMARK_F(LsmFixture, MultiGetSorted256)(benchmark::State& state) {
+  RunMultiGet(tree.get(), 100000, state);
+}
+
 BENCHMARK_F(LsmFixture, ShortRangeScan100)(benchmark::State& state) {
   int64_t k = 0;
   for (auto _ : state) {
@@ -209,6 +253,23 @@ BENCHMARK_F(FormatFixture, ProjectedScanRowFormat)(benchmark::State& state) {
 
 BENCHMARK_F(FormatFixture, ProjectedScanColumnFormat)(benchmark::State& state) {
   RunProjectedScan(col.get(), state);
+}
+
+// Primary-key fetch from the column-format tree: one key per call decodes
+// its whole row group; a sorted batch decodes each touched group once.
+BENCHMARK_F(FormatFixture, PointLookupHitColumnFormat)(benchmark::State& state) {
+  int64_t k = 0;
+  for (auto _ : state) {
+    bool found;
+    std::vector<uint8_t> p;
+    (void)col->PointLookup({Value::Int64(k % 20000)}, &found, &p);
+    benchmark::DoNotOptimize(found);
+    k += 7919;
+  }
+}
+
+BENCHMARK_F(FormatFixture, MultiGetSorted256ColumnFormat)(benchmark::State& state) {
+  RunMultiGet(col.get(), 20000, state);
 }
 
 // Interpreted vs vectorized execution of the same selective

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <thread>
 
 namespace asterix {
 namespace journal {
@@ -88,19 +89,37 @@ uint64_t Journal::NowUs() const {
 
 void Journal::Post(EventKind kind, uint64_t a, uint64_t b, const char* label) {
   // The single reservation: every later store targets a slot this thread
-  // owns until the next lap, so relaxed order suffices for the payload.
+  // owns until the next lap.
   uint64_t idx = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[idx & mask_];
+  // Claim the slot by swapping its seq to kWriting. A writer one lap ahead
+  // or behind may target the same slot; the CAS keeps two writers from
+  // interleaving their payload stores, and a writer that finds a newer lap
+  // already published drops its own (older) event rather than clobber it.
+  uint64_t old = slot.seq.load(std::memory_order_relaxed);
+  while (true) {
+    if (old == kWriting) {
+      std::this_thread::yield();
+      old = slot.seq.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (old > idx + 1) return;
+    if (slot.seq.compare_exchange_weak(old, kWriting,
+                                       std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // A release store orders only *earlier* accesses; this fence keeps the
+  // payload stores below from becoming visible before kWriting does, so a
+  // reader that sees new payload bytes also sees the changed seq.
+  std::atomic_thread_fence(std::memory_order_release);
   // Lapping a published event that no Snapshot() could have seen yet is a
   // silent loss of history; count it so StatusJson can surface the blind
   // spot. A benign race (a concurrent Snapshot that just started) at worst
   // over-counts by the in-flight scan, which errs on the honest side.
-  uint64_t old = slot.seq.load(std::memory_order_relaxed);
-  if (old != 0 && old != kWriting &&
-      old > snapshot_floor_.load(std::memory_order_relaxed)) {
+  if (old != 0 && old > snapshot_floor_.load(std::memory_order_relaxed)) {
     overwrite_drops_.fetch_add(1, std::memory_order_relaxed);
   }
-  slot.seq.store(kWriting, std::memory_order_release);
   slot.ts_us.store(NowUs(), std::memory_order_relaxed);
   slot.query_id.store(tls_query_id, std::memory_order_relaxed);
   slot.kind.store(static_cast<uint64_t>(kind), std::memory_order_relaxed);

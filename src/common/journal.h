@@ -61,11 +61,15 @@ struct Event {
 };
 
 /// Lock-free MPMC ring buffer of the last `capacity` events. Post() costs one
-/// relaxed fetch_add to reserve a slot plus relaxed stores of the payload —
-/// no mutex, no allocation — so per-tuple and per-page paths can afford it.
-/// Writers may lap readers: each slot is a seqlock (publish sequence stored
-/// last with release order), so Snapshot() simply drops slots it catches
-/// mid-overwrite instead of blocking anyone.
+/// relaxed fetch_add to reserve a slot, one CAS to claim it, and relaxed
+/// stores of the payload — no mutex, no allocation — so per-tuple and
+/// per-page paths can afford it. Writers may lap readers: each slot is a
+/// seqlock (claimed by swapping its sequence to a write-in-flight marker,
+/// fenced before the payload stores, and published last with release
+/// order), so Snapshot() simply drops slots it catches mid-overwrite
+/// instead of blocking anyone. Two writers a lap apart never interleave on
+/// one slot: the CAS serializes them, and the older event yields to a
+/// newer one already published.
 class Journal {
  public:
   /// Capacity is rounded up to a power of two, minimum 64.

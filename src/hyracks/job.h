@@ -25,8 +25,9 @@ class Emitter {
   virtual void PushBatch(std::shared_ptr<storage::column::ColumnBatch> batch);
   /// Flushes buffered frames (executor also flushes at operator close).
   virtual void Flush() = 0;
-  /// Storage bytes this operator instance read; scan operators report
-  /// their physical I/O here so profiles can show bytes-read per scan.
+  /// Storage bytes this operator instance read; scan and primary-fetch
+  /// operators report their physical I/O here so profiles can show
+  /// bytes-read per operator.
   virtual void AddBytesRead(uint64_t) {}
   /// Memory quota for this operator instance — its share of the job's
   /// op_memory_budget_bytes — or null when running unbudgeted (tests and

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <numeric>
+#include <optional>
 #include <unordered_map>
 
 #include "adm/serde.h"
@@ -45,27 +47,34 @@ OperatorFactory Lambda(std::function<Status(int, const std::vector<InChannel*>&,
   };
 }
 
-/// Drains one input channel frame-at-a-time, invoking `fn` per tuple. One
-/// channel synchronization buys a whole frame of work, so every operator
-/// built on this helper consumes input at frame granularity.
-Status ForEachInput(InChannel* in, const std::function<Status(Tuple&)>& fn) {
+/// Drains one input channel frame-at-a-time, handing `fn` each frame's
+/// tuples. A columnar batch that reaches a row-oriented operator is
+/// materialized into its selected rows first, so every operator is a safe
+/// vectorization boundary.
+Status ForEachInputFrame(InChannel* in,
+                         const std::function<Status(std::vector<Tuple>&)>& fn) {
   Frame frame;
   while (true) {
     auto r = in->NextFrame(&frame);
     if (!r.ok()) return r.status();
     if (!r.value()) return Status::OK();
-    for (Tuple& t : frame.tuples) {
-      ASTERIX_RETURN_NOT_OK(fn(t));
-    }
     if (frame.batch != nullptr) {
-      // A columnar batch reached a row-oriented operator: materialize the
-      // selected rows, so every operator is a safe vectorization boundary.
       for (uint32_t row : frame.batch->sel.rows) {
-        Tuple t{frame.batch->MaterializeRow(row)};
-        ASTERIX_RETURN_NOT_OK(fn(t));
+        frame.tuples.push_back({frame.batch->MaterializeRow(row)});
       }
     }
+    ASTERIX_RETURN_NOT_OK(fn(frame.tuples));
   }
+}
+
+/// Drains one input channel frame-at-a-time, invoking `fn` per tuple. One
+/// channel synchronization buys a whole frame of work, so every operator
+/// built on this helper consumes input at frame granularity.
+Status ForEachInput(InChannel* in, const std::function<Status(Tuple&)>& fn) {
+  return ForEachInputFrame(in, [&](std::vector<Tuple>& tuples) {
+    for (Tuple& t : tuples) ASTERIX_RETURN_NOT_OK(fn(t));
+    return Status::OK();
+  });
 }
 
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
@@ -528,26 +537,59 @@ OperatorDescriptor MakePrimarySearch(storage::PartitionedDataset* dataset,
                           Emitter* out) {
     // One implicit read transaction per task; S locks release at commit.
     txn::TxnId t = locked ? txns->Begin() : 0;
-    Status st = ForEachInput(in[0], [&](Tuple& tuple) {
-      storage::CompositeKey pk;
-      for (int c : key_columns) pk.push_back(tuple[static_cast<size_t>(c)]);
-      bool found = false;
-      Value rec;
-      uint32_t part = dataset->PartitionOf(pk);
-      if (locked) {
-        ASTERIX_RETURN_NOT_OK(
-            dataset->partition(part)->LockedLookup(t, pk, &found, &rec));
-      } else {
-        ASTERIX_RETURN_NOT_OK(
-            dataset->partition(part)->PointLookup(pk, &found, &rec));
+    storage::column::ProjectedScanStats stats;
+    std::vector<storage::CompositeKey> pks;
+    std::vector<uint32_t> parts;
+    std::vector<size_t> order;
+    std::vector<storage::CompositeKey> batch;
+    std::vector<std::optional<Value>> fetched;
+    std::vector<std::optional<Value>> records;
+    // One sorted batch lookup per partition per frame. Input from the
+    // Figure 6 sort arrives ordered already; the index-NL join's
+    // partitioned input does not, so the frame is fetched through a sorted
+    // permutation and emitted back in input order.
+    Status st = ForEachInputFrame(in[0], [&](std::vector<Tuple>& frame) {
+      size_t n = frame.size();
+      pks.resize(n);
+      parts.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        pks[i].clear();
+        for (int c : key_columns) {
+          pks[i].push_back(frame[i][static_cast<size_t>(c)]);
+        }
+        parts[i] = dataset->PartitionOf(pks[i]);
       }
-      if (found) {
-        Tuple o = tuple;
-        o.push_back(std::move(rec));
+      auto before = [&](size_t a, size_t b) {
+        if (parts[a] != parts[b]) return parts[a] < parts[b];
+        return storage::CompareKeys(pks[a], pks[b]) < 0;
+      };
+      order.resize(n);
+      std::iota(order.begin(), order.end(), size_t{0});
+      if (!std::is_sorted(order.begin(), order.end(), before)) {
+        std::sort(order.begin(), order.end(), before);
+      }
+      records.assign(n, std::nullopt);
+      for (size_t lo = 0, hi = 0; lo < n; lo = hi) {
+        uint32_t part = parts[order[lo]];
+        batch.clear();
+        for (hi = lo; hi < n && parts[order[hi]] == part; ++hi) {
+          batch.push_back(std::move(pks[order[hi]]));
+        }
+        ASTERIX_RETURN_NOT_OK(
+            dataset->partition(part)->MultiGet(t, batch, &fetched, &stats));
+        for (size_t k = lo; k < hi; ++k) {
+          records[order[k]] = std::move(fetched[k - lo]);
+        }
+      }
+      for (size_t i = 0; i < n; ++i) {
+        if (!records[i].has_value()) continue;
+        Tuple o = std::move(frame[i]);
+        o.push_back(std::move(*records[i]));
         out->Push(std::move(o));
       }
       return Status::OK();
     });
+    out->AddBytesRead(stats.bytes_read);
     // Read-only transaction: release the S locks; no WAL record needed.
     if (locked) txns->locks().ReleaseAll(t);
     return st;

@@ -24,8 +24,8 @@ struct OperatorSpan {
   uint64_t tuples_in = 0;
   uint64_t tuples_out = 0;
   uint64_t frames_flushed = 0;
-  /// Storage bytes physically read by this instance (scan operators; zero
-  /// for compute-only operators). On columnar scans this excludes pages
+  /// Storage bytes physically read by this instance (scan and
+  /// primary-fetch operators; zero for compute-only operators). On columnar scans this excludes pages
   /// skipped by projection/min-max pruning.
   uint64_t bytes_read = 0;
   /// Wall time blocked pulling input frames (waiting on upstream).

@@ -269,7 +269,7 @@ Status BTreeReader::LoadEntry(BytesReader* r, IndexEntry* out) const {
   return Status::OK();
 }
 
-Result<uint32_t> BTreeReader::DescendToLeaf(const ScanBounds& bounds) const {
+Result<uint32_t> BTreeReader::DescendToLeaf(const CompositeKey* lo) const {
   uint32_t page_no = root_page_;
   for (int depth = 0; depth < 64; ++depth) {
     auto page_r = cache_->GetPage(file_, page_no);
@@ -282,7 +282,7 @@ Result<uint32_t> BTreeReader::DescendToLeaf(const ScanBounds& bounds) const {
     std::memcpy(&count, page.data() + 1, 2);
     std::vector<uint32_t> children(count);
     std::memcpy(children.data(), page.data() + kInteriorHeaderSize, 4 * count);
-    if (!bounds.lo.has_value() || count <= 1) {
+    if (lo == nullptr || count <= 1) {
       page_no = children[0];
       continue;
     }
@@ -305,7 +305,7 @@ Result<uint32_t> BTreeReader::DescendToLeaf(const ScanBounds& bounds) const {
       size_t mid = (lo_i + hi_i) / 2;
       CompositeKey sep;
       ASTERIX_RETURN_NOT_OK(sep_at(mid, &sep));
-      if (BoundCompare(sep, *bounds.lo) < 0) {
+      if (BoundCompare(sep, *lo) < 0) {
         lo_i = mid + 1;
       } else {
         hi_i = mid;
@@ -316,42 +316,68 @@ Result<uint32_t> BTreeReader::DescendToLeaf(const ScanBounds& bounds) const {
   return Status::Corruption("btree too deep (cycle?)");
 }
 
+namespace {
+
+/// A parsed leaf page: the next-leaf link plus the entry offset table.
+struct LeafView {
+  PagePtr page;
+  uint32_t next = kNoPage;
+  uint16_t count = 0;
+  const uint8_t* table = nullptr;
+  const uint8_t* entries = nullptr;
+  size_t entries_len = 0;
+
+  BytesReader EntryReader(uint16_t i) const {
+    uint16_t off;
+    std::memcpy(&off, table + 2 * static_cast<size_t>(i), 2);
+    return BytesReader(entries + off, entries_len - off);
+  }
+  /// Decodes only the key of entry `i` (the payload stays unread).
+  Status KeyAt(uint16_t i, CompositeKey* out) const {
+    BytesReader r = EntryReader(i);
+    return DeserializeKey(&r, out);
+  }
+};
+
+Status ReadLeaf(BufferCache* cache, FileId file, uint32_t page_no,
+                LeafView* out) {
+  auto page_r = cache->GetPage(file, page_no);
+  if (!page_r.ok()) return page_r.status();
+  out->page = page_r.take();
+  const PageData& page = *out->page;
+  if (page.empty() || page[0] != kLeafPage) {
+    return Status::Corruption("expected leaf page");
+  }
+  std::memcpy(&out->next, page.data() + 1, 4);
+  std::memcpy(&out->count, page.data() + 5, 2);
+  out->table = page.data() + kLeafHeaderSize;
+  out->entries = out->table + 2 * static_cast<size_t>(out->count);
+  out->entries_len =
+      page.size() - kLeafHeaderSize - 2 * static_cast<size_t>(out->count);
+  return Status::OK();
+}
+
+}  // namespace
+
 Status BTreeReader::RangeScan(const ScanBounds& bounds,
                               const EntryCallback& cb) const {
-  auto leaf_r = DescendToLeaf(bounds);
+  auto leaf_r = DescendToLeaf(bounds.lo ? &*bounds.lo : nullptr);
   if (!leaf_r.ok()) return leaf_r.status();
   uint32_t page_no = leaf_r.value();
   bool first_leaf = true;
+  LeafView leaf;
   while (page_no != kNoPage) {
-    auto page_r = cache_->GetPage(file_, page_no);
-    if (!page_r.ok()) return page_r.status();
-    const PageData& page = *page_r.value();
-    if (page.empty() || page[0] != kLeafPage) {
-      return Status::Corruption("expected leaf page");
-    }
-    uint32_t next;
-    uint16_t count;
-    std::memcpy(&next, page.data() + 1, 4);
-    std::memcpy(&count, page.data() + 5, 2);
-    const uint8_t* table = page.data() + kLeafHeaderSize;
-    const uint8_t* entries = table + 2 * static_cast<size_t>(count);
-    size_t entries_len = page.size() - kLeafHeaderSize - 2 * static_cast<size_t>(count);
-    auto entry_at = [&](uint16_t i, IndexEntry* out) {
-      uint16_t off;
-      std::memcpy(&off, table + 2 * static_cast<size_t>(i), 2);
-      BytesReader er(entries + off, entries_len - off);
-      return LoadEntry(&er, out);
-    };
+    ASTERIX_RETURN_NOT_OK(ReadLeaf(cache_, file_, page_no, &leaf));
     uint16_t start = 0;
-    if (first_leaf && bounds.lo.has_value() && count > 0) {
+    if (first_leaf && bounds.lo.has_value() && leaf.count > 0) {
       // Binary search the first entry meeting the lower bound
       // (BoundCompare is monotone along the leaf's key order).
-      uint16_t lo_i = 0, hi_i = count;
+      uint16_t lo_i = 0, hi_i = leaf.count;
       while (lo_i < hi_i) {
         uint16_t mid = static_cast<uint16_t>((lo_i + hi_i) / 2);
-        IndexEntry probe;
-        ASTERIX_RETURN_NOT_OK(entry_at(mid, &probe));
-        if (BoundCompare(probe.key, *bounds.lo) < 0) {
+        CompositeKey probe;
+        ASTERIX_RETURN_NOT_OK(leaf.KeyAt(mid, &probe));
+        if (BoundCompare(probe, *bounds.lo) < 0) {
           lo_i = static_cast<uint16_t>(mid + 1);
         } else {
           hi_i = mid;
@@ -360,9 +386,10 @@ Status BTreeReader::RangeScan(const ScanBounds& bounds,
       start = lo_i;
     }
     first_leaf = false;
-    for (uint16_t i = start; i < count; ++i) {
+    for (uint16_t i = start; i < leaf.count; ++i) {
       IndexEntry e;
-      ASTERIX_RETURN_NOT_OK(entry_at(i, &e));
+      BytesReader er = leaf.EntryReader(i);
+      ASTERIX_RETURN_NOT_OK(LoadEntry(&er, &e));
       if (bounds.lo.has_value()) {
         int c = BoundCompare(e.key, *bounds.lo);
         if (c < 0 || (c == 0 && !bounds.lo_inclusive)) continue;
@@ -373,7 +400,57 @@ Status BTreeReader::RangeScan(const ScanBounds& bounds,
       }
       ASTERIX_RETURN_NOT_OK(cb(e));
     }
-    page_no = next;
+    page_no = leaf.next;
+  }
+  return Status::OK();
+}
+
+Status BTreeReader::MultiGet(std::span<const CompositeKey* const> keys,
+                             const MultiGetCallback& cb) const {
+  if (num_entries_ == 0) return Status::OK();
+  LeafView leaf;
+  CompositeKey leaf_last;  // last key of `leaf`; meaningless until loaded
+  bool have_leaf = false;
+  uint16_t pos = 0;  // entries before `pos` are < every remaining key
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const CompositeKey& key = *keys[i];
+    if (CompareKeys(key, min_key_) < 0 || CompareKeys(key, max_key_) > 0) {
+      continue;
+    }
+    if (!have_leaf || CompareKeys(key, leaf_last) > 0) {
+      ASTERIX_ASSIGN_OR_RETURN(uint32_t page_no, DescendToLeaf(&key));
+      // The descent picks the leftmost leaf that may hold `key`; a key
+      // equal to the next leaf's separator lives one leaf further on.
+      while (true) {
+        ASTERIX_RETURN_NOT_OK(ReadLeaf(cache_, file_, page_no, &leaf));
+        if (leaf.count == 0) return Status::Corruption("empty btree leaf");
+        ASTERIX_RETURN_NOT_OK(
+            leaf.KeyAt(static_cast<uint16_t>(leaf.count - 1), &leaf_last));
+        if (CompareKeys(key, leaf_last) <= 0 || leaf.next == kNoPage) break;
+        page_no = leaf.next;
+      }
+      have_leaf = true;
+      pos = 0;
+    }
+    // Lower bound of `key` in [pos, count): keys ascend, so the search
+    // window only ever shrinks from the left within one leaf.
+    uint16_t lo_i = pos, hi_i = leaf.count;
+    CompositeKey probe;
+    while (lo_i < hi_i) {
+      uint16_t mid = static_cast<uint16_t>((lo_i + hi_i) / 2);
+      ASTERIX_RETURN_NOT_OK(leaf.KeyAt(mid, &probe));
+      if (CompareKeys(probe, key) < 0) {
+        lo_i = static_cast<uint16_t>(mid + 1);
+      } else {
+        hi_i = mid;
+      }
+    }
+    pos = lo_i;
+    if (pos == leaf.count) continue;
+    IndexEntry e;
+    BytesReader er = leaf.EntryReader(pos);
+    ASTERIX_RETURN_NOT_OK(LoadEntry(&er, &e));
+    if (CompareKeys(e.key, key) == 0) ASTERIX_RETURN_NOT_OK(cb(i, e));
   }
   return Status::OK();
 }
@@ -381,19 +458,13 @@ Status BTreeReader::RangeScan(const ScanBounds& bounds,
 Status BTreeReader::PointLookup(const CompositeKey& key, bool* found,
                                 IndexEntry* out) {
   *found = false;
-  if (num_entries_ == 0) return Status::OK();
   if (!MayContain(key)) return Status::OK();
-  ScanBounds bounds;
-  bounds.lo = key;
-  bounds.hi = key;
-  Status cb_status = RangeScan(bounds, [&](const IndexEntry& e) {
-    if (CompareKeys(e.key, key) == 0) {
-      *found = true;
-      *out = e;
-    }
+  const CompositeKey* one = &key;
+  return MultiGet({&one, 1}, [&](size_t, IndexEntry& e) {
+    *found = true;
+    *out = std::move(e);
     return Status::OK();
   });
-  return cb_status;
 }
 
 }  // namespace storage

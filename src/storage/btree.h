@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "storage/bloom.h"
@@ -28,6 +29,10 @@ struct ScanBounds {
 };
 
 using EntryCallback = std::function<Status(const IndexEntry&)>;
+
+/// Receives one hit of a sorted batch lookup: `i` indexes the batch's key
+/// list, and the callee may move out of `entry`.
+using MultiGetCallback = std::function<Status(size_t i, IndexEntry& entry)>;
 
 /// Writes an immutable, paged B+-tree file from entries that MUST be sorted
 /// by key and unique. This is the bulk loader used for every LSM flush and
@@ -72,10 +77,18 @@ class BTreeReader {
   BTreeReader(const BTreeReader&) = delete;
   BTreeReader& operator=(const BTreeReader&) = delete;
 
-  /// Exact-match lookup of a full key. Uses the bloom filter to skip work.
-  /// `found` false when absent (tombstones count as found with
-  /// entry.antimatter set — LSM resolution happens above this layer).
+  /// Exact-match lookup of a full key: the bloom filter screen, then a
+  /// one-key MultiGet. `found` false when absent (tombstones count as found
+  /// with entry.antimatter set — LSM resolution happens above this layer).
   Status PointLookup(const CompositeKey& key, bool* found, IndexEntry* out);
+
+  /// Sorted batch lookup of full keys. `keys` must be ascending (duplicates
+  /// allowed); `cb(i, entry)` runs once per key present, tombstones
+  /// included, in key order. Descends to a leaf once, walks forward through
+  /// it, and re-descends only when the next key lies past the leaf's last
+  /// entry. No bloom screening: the caller screens first.
+  Status MultiGet(std::span<const CompositeKey* const> keys,
+                  const MultiGetCallback& cb) const;
 
   /// In-order scan of all entries within bounds.
   Status RangeScan(const ScanBounds& bounds, const EntryCallback& cb) const;
@@ -92,7 +105,9 @@ class BTreeReader {
   BTreeReader() = default;
 
   Status LoadEntry(BytesReader* r, IndexEntry* out) const;
-  Result<uint32_t> DescendToLeaf(const ScanBounds& bounds) const;
+  /// Page number of the leftmost leaf that can hold keys >= `lo` (the
+  /// first leaf when null), in bound-prefix order.
+  Result<uint32_t> DescendToLeaf(const CompositeKey* lo) const;
 
   BufferCache* cache_ = nullptr;
   FileId file_ = 0;

@@ -931,34 +931,58 @@ Status ColumnComponentReader::RangeScan(const ScanBounds& bounds,
       nullptr);
 }
 
-Status ColumnComponentReader::PointLookup(const CompositeKey& key, bool* found,
-                                          IndexEntry* out) {
-  *found = false;
-  auto it = std::partition_point(
-      keys_.begin(), keys_.end(),
-      [&](const auto& kv) { return CompareKeys(kv.first, key) < 0; });
-  if (it == keys_.end() || CompareKeys(it->first, key) != 0) {
-    return Status::OK();
+Status ColumnComponentReader::MultiGet(
+    std::span<const CompositeKey* const> keys, const MultiGetCallback& cb,
+    ProjectedScanStats* stats) const {
+  // Find each key's row on the key spine. Keys ascend, so every search
+  // starts where the previous one ended.
+  std::vector<std::pair<size_t, size_t>> hits;  // (key index, row)
+  auto from = keys_.begin();
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const CompositeKey& key = *keys[i];
+    from = std::partition_point(from, keys_.end(), [&](const auto& kv) {
+      return CompareKeys(kv.first, key) < 0;
+    });
+    if (from == keys_.end()) break;
+    if (CompareKeys(from->first, key) == 0) {
+      hits.emplace_back(i, static_cast<size_t>(from - keys_.begin()));
+    }
   }
-  size_t row = it - keys_.begin();
-  *found = true;
-  out->key = key;
-  out->antimatter = it->second;
-  out->payload.clear();
-  if (out->antimatter) return Status::OK();
-  size_t group = row / kRowsPerGroup;
+  // Hit rows ascend, so each row group a live hit touches is decoded once
+  // for the whole batch and every requested row is assembled from it.
+  ProjectedScanStats local;
   std::vector<char> needed(cols_.size(), 1);
   std::vector<DecodedColumn> dec;
-  ProjectedScanStats local;
-  ASTERIX_RETURN_NOT_OK(ReadGroup(group, needed, &dec, &local));
+  size_t decoded_group = SIZE_MAX;
   Projection all = Projection::All();
-  adm::Value rec = AssembleRow(row, group, all, needed, dec);
-  BytesWriter w(&out->payload);
-  ASTERIX_RETURN_NOT_OK(adm::SerializeTyped(rec, type_, &w));
+  Status st;
+  for (const auto& [i, row] : hits) {
+    IndexEntry e;
+    e.key = keys_[row].first;
+    e.antimatter = keys_[row].second;
+    if (!e.antimatter) {
+      size_t group = row / kRowsPerGroup;
+      if (group != decoded_group) {
+        st = ReadGroup(group, needed, &dec, &local);
+        if (!st.ok()) break;
+        decoded_group = group;
+      }
+      adm::Value rec = AssembleRow(row, group, all, needed, dec);
+      BytesWriter w(&e.payload);
+      st = adm::SerializeTyped(rec, type_, &w);
+      if (!st.ok()) break;
+    }
+    st = cb(i, e);
+    if (!st.ok()) break;
+  }
+  if (stats != nullptr) {
+    stats->bytes_read += local.bytes_read;
+    stats->pages_read += local.pages_read;
+  }
   ColumnCounters& c = Counters();
   c.pages_read->Inc(local.pages_read);
   c.bytes_read->Inc(local.bytes_read);
-  return Status::OK();
+  return st;
 }
 
 }  // namespace column

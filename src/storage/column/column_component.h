@@ -105,8 +105,11 @@ class ColumnComponentReader : public DiskComponentReader {
   ColumnComponentReader(const ColumnComponentReader&) = delete;
   ColumnComponentReader& operator=(const ColumnComponentReader&) = delete;
 
-  Status PointLookup(const CompositeKey& key, bool* found,
-                     IndexEntry* out) override;
+  /// Decodes each row group the batch's live hits touch once, however
+  /// many requested rows it holds.
+  Status MultiGet(std::span<const CompositeKey* const> keys,
+                  const MultiGetCallback& cb,
+                  ProjectedScanStats* stats) const override;
   Status RangeScan(const ScanBounds& bounds,
                    const EntryCallback& cb) const override;
   Status ProjectedScan(const ScanBounds& bounds, const Projection& proj,

@@ -17,10 +17,15 @@ class DiskComponentReader {
  public:
   virtual ~DiskComponentReader() = default;
 
-  /// Exact-match lookup (tombstones report found with antimatter set; LSM
-  /// resolution happens above).
-  virtual Status PointLookup(const CompositeKey& key, bool* found,
-                             IndexEntry* out) = 0;
+  /// Sorted batch exact-match lookup. `keys` must be ascending (duplicates
+  /// allowed); `cb(i, entry)` runs once per key present, in key order, with
+  /// tombstones reported as entries with antimatter set (LSM resolution
+  /// happens above). No bloom screening: LsmBTree screens each key against
+  /// MayContain first. `stats` (optional) accumulates what was read: record
+  /// bytes of a row component, decoded column pages of a column component.
+  virtual Status MultiGet(std::span<const CompositeKey* const> keys,
+                          const MultiGetCallback& cb,
+                          column::ProjectedScanStats* stats) const = 0;
 
   /// In-order scan of all entries within bounds, payloads fully
   /// materialized.

@@ -6,6 +6,7 @@
 
 #include "adm/serde.h"
 #include "common/env.h"
+#include "common/metrics.h"
 #include "common/string_utils.h"
 #include "functions/spatial.h"
 
@@ -332,11 +333,28 @@ Status DatasetPartition::PointLookup(const CompositeKey& pk, bool* found,
   return Status::OK();
 }
 
-Status DatasetPartition::LockedLookup(txn::TxnId txn, const CompositeKey& pk,
-                                      bool* found, adm::Value* record) {
-  ASTERIX_RETURN_NOT_OK(
-      txns_->locks().Acquire(txn, LockResource(pk), txn::LockMode::kShared));
-  return PointLookup(pk, found, record);
+Status DatasetPartition::MultiGet(
+    txn::TxnId txn, std::span<const CompositeKey> pks,
+    std::vector<std::optional<adm::Value>>* records,
+    column::ProjectedScanStats* stats) {
+  static metrics::Histogram* batch_keys =
+      metrics::MetricsRegistry::Default().GetHistogram(
+          "storage.lookup.batch_keys", metrics::Histogram::CountBounds());
+  batch_keys->Observe(pks.size());
+  if (txn != 0) {
+    for (const CompositeKey& pk : pks) {
+      ASTERIX_RETURN_NOT_OK(txns_->locks().Acquire(txn, LockResource(pk),
+                                                   txn::LockMode::kShared));
+    }
+  }
+  std::vector<LsmBTree::LookupResult> hits;
+  ASTERIX_RETURN_NOT_OK(primary_->MultiGet(pks, &hits, stats));
+  records->assign(pks.size(), std::nullopt);
+  for (size_t i = 0; i < hits.size(); ++i) {
+    if (!hits[i].found) continue;
+    ASTERIX_ASSIGN_OR_RETURN((*records)[i], DeserializeRecord(hits[i].payload));
+  }
+  return Status::OK();
 }
 
 Status DatasetPartition::ScanAll(

@@ -2,6 +2,8 @@
 #define ASTERIX_STORAGE_DATASET_STORE_H_
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,10 +88,15 @@ class DatasetPartition {
 
   // -- Readers -----------------------------------------------------------------
   Status PointLookup(const CompositeKey& pk, bool* found, adm::Value* record);
-  /// Point lookup under an S record lock (the paper's secondary-index
-  /// post-validation path: lock pk, fetch, let the caller re-check).
-  Status LockedLookup(txn::TxnId txn, const CompositeKey& pk, bool* found,
-                      adm::Value* record);
+  /// Sorted batch lookup: the index-to-primary fetch. `pks` must be
+  /// ascending (duplicates allowed); `records` gets one slot per key, empty
+  /// when the key is absent. When `txn` is nonzero every key is S-locked
+  /// first (the paper's secondary-index post-validation path: lock pk,
+  /// fetch, let the caller re-check); the locks stay with `txn`. `stats`
+  /// (optional) accumulates what the primary index read.
+  Status MultiGet(txn::TxnId txn, std::span<const CompositeKey> pks,
+                  std::vector<std::optional<adm::Value>>* records,
+                  column::ProjectedScanStats* stats);
   Status ScanAll(const std::function<Status(const adm::Value&)>& cb);
   Status PrimaryRangeScan(const ScanBounds& bounds,
                           const std::function<Status(const adm::Value&)>& cb);

@@ -125,13 +125,16 @@ class RowComponentReader : public DiskComponentReader {
       : btree_(std::move(btree)), type_(std::move(type)),
         compressed_(compressed) {}
 
-  Status PointLookup(const CompositeKey& key, bool* found,
-                     IndexEntry* out) override {
-    ASTERIX_RETURN_NOT_OK(btree_->PointLookup(key, found, out));
-    if (*found && !out->antimatter && compressed_) {
-      ASTERIX_RETURN_NOT_OK(DecodeRowPayload(&out->payload));
-    }
-    return Status::OK();
+  Status MultiGet(std::span<const CompositeKey* const> keys,
+                  const MultiGetCallback& cb,
+                  column::ProjectedScanStats* stats) const override {
+    return btree_->MultiGet(keys, [&](size_t i, IndexEntry& e) {
+      if (stats != nullptr) stats->bytes_read += e.payload.size();
+      if (!e.antimatter && compressed_) {
+        ASTERIX_RETURN_NOT_OK(DecodeRowPayload(&e.payload));
+      }
+      return cb(i, e);
+    });
   }
 
   Status RangeScan(const ScanBounds& bounds,
@@ -976,52 +979,83 @@ Status LsmBTree::BackgroundMerge() {
 
 Status LsmBTree::PointLookup(const CompositeKey& key, bool* found,
                              std::vector<uint8_t>* payload) const {
+  std::vector<LookupResult> result;
+  ASTERIX_RETURN_NOT_OK(MultiGet({&key, 1}, &result, nullptr));
+  *found = result[0].found;
+  if (*found) *payload = std::move(result[0].payload);
+  return Status::OK();
+}
+
+Status LsmBTree::MultiGet(std::span<const CompositeKey> keys,
+                          std::vector<LookupResult>* out,
+                          column::ProjectedScanStats* stats) const {
+  out->assign(keys.size(), LookupResult{});
+  // done[i]: keys[i] resolved by a newer component (matter or antimatter).
+  std::vector<char> done(keys.size(), 0);
+  std::vector<size_t> pending(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) pending[i] = i;
+  auto drop_done = [&] {
+    std::erase_if(pending, [&](size_t i) { return done[i] != 0; });
+  };
   std::shared_lock lock(mu_);
-  *found = false;
-  auto it = mem_.find(key);
-  if (it != mem_.end()) {
-    if (it->second.antimatter) return Status::OK();
-    *found = true;
-    *payload = it->second.payload;
-    return Status::OK();
-  }
-  if (imm_ != nullptr) {
-    // The rotated component is older than mem_ but newer than any disk
-    // component — it stays visible until its background flush installs.
-    auto iit = imm_->entries.find(key);
-    if (iit != imm_->entries.end()) {
-      if (iit->second.antimatter) return Status::OK();
-      *found = true;
-      *payload = iit->second.payload;
-      return Status::OK();
+  // The memory components first: mem_, then the rotated imm_, which is
+  // older than mem_ but newer than any disk component — it stays visible
+  // until its background flush installs.
+  auto resolve_in = [&](const MemTable& table) {
+    for (size_t i : pending) {
+      auto it = table.find(keys[i]);
+      if (it == table.end()) continue;
+      done[i] = 1;
+      if (it->second.antimatter) continue;
+      (*out)[i].found = true;
+      (*out)[i].payload = it->second.payload;
     }
-  }
+    drop_done();
+  };
+  if (!mem_.empty()) resolve_in(mem_);
+  if (imm_ != nullptr && !pending.empty()) resolve_in(imm_->entries);
+  if (pending.empty() || disk_.empty()) return Status::OK();
+
   auto& reg = metrics::MetricsRegistry::Default();
   static metrics::Counter* bloom_hits = reg.GetCounter("storage.bloom.hits");
   static metrics::Counter* bloom_misses = reg.GetCounter("storage.bloom.misses");
   static metrics::Counter* bloom_fps =
       reg.GetCounter("storage.bloom.false_positives");
-  // Newest disk component first.
-  for (size_t i = disk_.size(); i > 0; --i) {
-    const auto& dc = disk_[i - 1];
-    // The bloom filter screens out components that cannot hold the key
-    // (a "miss" saves the page reads; a "hit" that finds nothing is a
-    // false positive).
-    if (!dc.reader->MayContain(key)) {
-      bloom_misses->Inc();
-      continue;
+  std::vector<const CompositeKey*> probe;
+  std::vector<size_t> probe_idx;
+  // Newest disk component first; each sees only the keys no newer
+  // component resolved.
+  for (size_t c = disk_.size(); c > 0 && !pending.empty(); --c) {
+    const auto& dc = disk_[c - 1];
+    probe.clear();
+    probe_idx.clear();
+    // The bloom filter screens out keys the component cannot hold (a
+    // "miss" saves the page reads; a "hit" that finds nothing is a false
+    // positive).
+    for (size_t i : pending) {
+      if (!dc.reader->MayContain(keys[i])) continue;
+      probe.push_back(&keys[i]);
+      probe_idx.push_back(i);
     }
-    bloom_hits->Inc();
-    bool f = false;
-    IndexEntry e;
-    ASTERIX_RETURN_NOT_OK(dc.reader->PointLookup(key, &f, &e));
-    if (!f) bloom_fps->Inc();
-    if (f) {
-      if (e.antimatter) return Status::OK();
-      *found = true;
-      *payload = std::move(e.payload);
-      return Status::OK();
-    }
+    bloom_misses->Inc(pending.size() - probe.size());
+    if (probe.empty()) continue;
+    bloom_hits->Inc(probe.size());
+    uint64_t found = 0;
+    ASTERIX_RETURN_NOT_OK(dc.reader->MultiGet(
+        probe,
+        [&](size_t j, IndexEntry& e) {
+          size_t i = probe_idx[j];
+          done[i] = 1;
+          ++found;
+          if (!e.antimatter) {
+            (*out)[i].found = true;
+            (*out)[i].payload = std::move(e.payload);
+          }
+          return Status::OK();
+        },
+        stats));
+    bloom_fps->Inc(probe.size() - found);
+    drop_done();
   }
   return Status::OK();
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -194,9 +195,25 @@ class LsmBTree : public Compactable {
   const std::string& compaction_label() const override;
 
   // -- Readers --------------------------------------------------------------
-  /// LSM-resolved point lookup: newest component wins, antimatter hides.
+  /// LSM-resolved point lookup: a one-key MultiGet.
   Status PointLookup(const CompositeKey& key, bool* found,
                      std::vector<uint8_t>* payload) const;
+
+  /// One key's answer from MultiGet.
+  struct LookupResult {
+    bool found = false;
+    std::vector<uint8_t> payload;
+  };
+
+  /// LSM-resolved sorted batch lookup under one shared lock. `keys` must be
+  /// ascending (duplicates allowed); `out` gets one slot per key. Each key
+  /// resolves newest-wins through mem_, then imm_, then the disk components
+  /// newest first, and antimatter hides it. Each older component sees only
+  /// the keys still unresolved that pass its bloom filter, as one sorted
+  /// component MultiGet. `stats` (optional) accumulates disk bytes/pages.
+  Status MultiGet(std::span<const CompositeKey> keys,
+                  std::vector<LookupResult>* out,
+                  column::ProjectedScanStats* stats) const;
 
   /// LSM-resolved ordered range scan across all components.
   Status RangeScan(const ScanBounds& bounds, const EntryCallback& cb) const;
