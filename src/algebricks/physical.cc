@@ -1,6 +1,8 @@
 #include "algebricks/physical.h"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 #include <set>
 
 #include "functions/aggregates.h"
@@ -187,6 +189,34 @@ const LogicalOp* ScanUnderSelects(const LogicalOpPtr& op) {
   const LogicalOp* cur = op.get();
   while (cur->kind == LogicalOp::Kind::kSelect) cur = cur->inputs[0].get();
   return cur->kind == LogicalOp::Kind::kDataSourceScan ? cur : nullptr;
+}
+
+/// Rough output cardinality of a join input, for picking the hash-join build
+/// side: a dataset scan (any access path) counts its records, each select
+/// keeps a tenth, an assign passes its input through. Anything else, and
+/// datasets the resolver does not know (external, metadata), is unknown.
+std::optional<double> EstimateRows(
+    const LogicalOp& op, const PhysicalCompiler::DatasetResolver& resolver) {
+  switch (op.kind) {
+    case LogicalOp::Kind::kDataSourceScan: {
+      storage::PartitionedDataset* ds = resolver(op.dataset);
+      if (!ds) return std::nullopt;
+      return static_cast<double>(ds->ApproxRecordCount());
+    }
+    case LogicalOp::Kind::kSelect: {
+      std::optional<double> in = EstimateRows(*op.inputs[0], resolver);
+      if (in) *in /= 10;
+      return in;
+    }
+    case LogicalOp::Kind::kAssign:
+      return EstimateRows(*op.inputs[0], resolver);
+    default:
+      return std::nullopt;
+  }
+}
+
+std::string EstimateLabel(const std::optional<double>& est) {
+  return est ? std::to_string(std::llround(*est)) : "?";
 }
 
 }  // namespace
@@ -580,8 +610,25 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileJoin(
     }
   }
 
-  ASTERIX_ASSIGN_OR_RETURN(Stream probe, CompileOp(op->inputs[0], job));
-  ASTERIX_ASSIGN_OR_RETURN(Stream build, CompileOp(op->inputs[1], job));
+  // The paper's safe rule (b) hash-joins every equijoin but does not say
+  // which input to hash. Build on input 0 only when both estimates are known
+  // and input 0 is at least 2x smaller; otherwise keep the input-1 build. A
+  // left-outer join never swaps: its probe side is the preserved side.
+  int build_side = 1;
+  std::optional<double> est[2];
+  if (!equi.empty()) {
+    est[0] = EstimateRows(*op->inputs[0], resolver_);
+    est[1] = EstimateRows(*op->inputs[1], resolver_);
+    if (!op->left_outer && est[0] && est[1] && *est[0] < *est[1] &&
+        *est[0] * 2 <= *est[1]) {
+      build_side = 0;
+    }
+  }
+  Stream sides[2];
+  ASTERIX_ASSIGN_OR_RETURN(sides[0], CompileOp(op->inputs[0], job));
+  ASTERIX_ASSIGN_OR_RETURN(sides[1], CompileOp(op->inputs[1], job));
+  const Stream& build = sides[build_side];
+  const Stream& probe = sides[1 - build_side];
 
   Stream s;
   s.parallelism = P;
@@ -597,12 +644,21 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileJoin(
     // equijoins. Partition both sides on the key hash.
     std::vector<TupleEval> build_keys, probe_keys;
     for (const auto& [le, re] : equi) {
-      probe_keys.push_back(CompileExpr(le, probe));
-      build_keys.push_back(CompileExpr(re, build));
+      probe_keys.push_back(CompileExpr(build_side == 1 ? le : re, probe));
+      build_keys.push_back(CompileExpr(build_side == 1 ? re : le, build));
     }
-    int join_id = job->AddOperator(hyracks::MakeHybridHashJoin(
+    hyracks::OperatorDescriptor join = hyracks::MakeHybridHashJoin(
         P, build_keys, probe_keys, static_cast<size_t>(build.width),
-        op->left_outer));
+        op->left_outer);
+    // EXPLAIN names the hashed input and both estimates (build/probe).
+    std::string build_vars;
+    for (const auto& v : op->inputs[build_side]->OutVars()) {
+      build_vars += (build_vars.empty() ? "$" : ",$") + v;
+    }
+    join.name += " build=" + build_vars + " est=" +
+                 EstimateLabel(est[build_side]) + "/" +
+                 EstimateLabel(est[1 - build_side]);
+    int join_id = job->AddOperator(std::move(join));
     job->Connect(ConnectorType::kMToNPartitioning, build.op_id, join_id, 0,
                  HashOnEvals(build_keys));
     job->Connect(ConnectorType::kMToNPartitioning, probe.op_id, join_id, 1,

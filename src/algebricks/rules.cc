@@ -715,7 +715,16 @@ void CollectVarUsesOp(const LogicalOpPtr& op, const LogicalOp* scan,
       (void)gv;
       CollectVarUsesExpr(ge, v, whole, fields);
     }
-    for (const auto& a : op->aggs) CollectVarUsesExpr(a.arg, v, whole, fields);
+    for (const auto& a : op->aggs) {
+      // count/sql-count only test their argument for MISSING. A scan
+      // binding is a record whether or not it is projected, and a
+      // null-padded outer binding stays null, so counting it reads no field.
+      if ((a.fn == "count" || a.fn == "sql-count") && a.arg &&
+          a.arg->kind == Expr::Kind::kVar && a.arg->var == v) {
+        continue;
+      }
+      CollectVarUsesExpr(a.arg, v, whole, fields);
+    }
     for (const auto& [oe, asc] : op->order_keys) {
       (void)asc;
       CollectVarUsesExpr(oe, v, whole, fields);

@@ -36,7 +36,9 @@ class RuleCatalog {
 /// "safe" rules — (a) always use index-based access for selections when an
 /// index exists, (b) always pick parallel hash joins for equijoins — plus
 /// user hints for overrides. These switches expose the rules for the
-/// ablation benches.
+/// ablation benches. Rule (b) still holds: every equijoin without a hint
+/// is one hybrid hash join. The physical generator only picks which input
+/// it hashes, the one with the clearly smaller row estimate.
 struct OptimizerOptions {
   bool use_indexes = true;
   bool rewrite_group_aggregation = true;  // avoid materializing groups

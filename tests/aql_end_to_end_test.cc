@@ -229,6 +229,48 @@ return { "uname": $user.name, "message": $message.message };)aql");
       << r.value().job_plan;
 }
 
+// Query 3 hashes the selected users, not all messages, whichever dataset the
+// FROM clause names first, and both orders return the index-NL plan's answer.
+TEST_F(TinySocialTest, Query3BuildsOnSelectedUsersInBothOrders) {
+  const std::string where = R"aql(
+where $message.author-id = $user.id
+ and $user.user-since >= datetime('2010-07-22T00:00:00')
+ and $user.user-since <= datetime('2012-07-29T23:59:59')
+return { "uname": $user.name, "message": $message.message };)aql";
+  auto users_first = Run(
+      "for $user in dataset MugshotUsers\n"
+      "for $message in dataset MugshotMessages" + where);
+  auto msgs_first = Run(
+      "for $message in dataset MugshotMessages\n"
+      "for $user in dataset MugshotUsers" + where);
+  auto indexnl = Run(R"aql(
+for $user in dataset MugshotUsers
+for $message in dataset MugshotMessages
+where $message.author-id /*+ indexnl */ = $user.id
+ and $user.user-since >= datetime('2010-07-22T00:00:00')
+ and $user.user-since <= datetime('2012-07-29T23:59:59')
+return { "uname": $user.name, "message": $message.message };)aql");
+  ASSERT_TRUE(users_first.ok()) << users_first.status().ToString();
+  ASSERT_TRUE(msgs_first.ok()) << msgs_first.status().ToString();
+  ASSERT_TRUE(indexnl.ok()) << indexnl.status().ToString();
+  for (const auto* r : {&users_first, &msgs_first}) {
+    const std::string& job = r->value().job_plan;
+    EXPECT_NE(job.find("hybrid-hash-join build=$user est="), std::string::npos)
+        << job;
+  }
+  EXPECT_NE(indexnl.value().job_plan.find("btree-probe(msAuthorIdx)"),
+            std::string::npos)
+      << indexnl.value().job_plan;
+  auto sorted = [](const std::vector<Value>& values) {
+    std::multiset<std::string> out;
+    for (const auto& v : values) out.insert(v.ToString());
+    return out;
+  };
+  EXPECT_EQ(indexnl.value().values.size(), 2u);
+  EXPECT_EQ(sorted(users_first.value().values), sorted(indexnl.value().values));
+  EXPECT_EQ(sorted(msgs_first.value().values), sorted(indexnl.value().values));
+}
+
 TEST_F(TinySocialTest, Query4NestedLeftOuterJoin) {
   auto r = Run(R"aql(
 for $user in dataset MugshotUsers

@@ -18,6 +18,7 @@
 #include "common/bytes.h"
 #include "common/env.h"
 #include "common/metrics.h"
+#include "hand_plan.h"
 #include "storage/lsm.h"
 
 namespace asterix {
@@ -555,6 +556,244 @@ create index kIdx on C(k);
   EXPECT_FALSE(nl.values.empty());
   EXPECT_EQ(sorted(nl), sorted(hashed));
   env::RemoveAll(dir);
+}
+
+// count()/sql-count() of a scan binding read no field of it, so the scan
+// projects only what the rest of the plan touches (nothing at all for a bare
+// count). Answers must match the whole-record plans on row and column data.
+class CountProjectionTest : public ::testing::Test {
+ protected:
+  static constexpr int kRows = 2000;
+
+  void SetUp() override {
+    dir_ = env::NewScratchDir("colstore-count");
+    api::InstanceConfig config;
+    config.cluster.num_nodes = 1;
+    config.cluster.partitions_per_node = 1;
+    config.cluster.job_startup_us = 0;
+    config.base_dir = dir_ + "/proj";
+    proj_ = std::make_unique<api::AsterixInstance>(config);
+    config.base_dir = dir_ + "/whole";
+    config.optimizer.push_projection_into_scan = false;
+    whole_ = std::make_unique<api::AsterixInstance>(config);
+    for (api::AsterixInstance* inst : {proj_.get(), whole_.get()}) {
+      ASSERT_TRUE(inst->Boot().ok());
+      auto ddl = inst->Execute(R"aql(
+create dataverse CC; use dataverse CC;
+create type MT as open { id: int64, author-id: int64, timestamp: int64,
+                         message: string }
+create dataset RowM(MT) primary key id;
+create dataset ColM(MT) primary key id with { "storage-format": "column" };
+)aql");
+      ASSERT_TRUE(ddl.ok()) << ddl.status().ToString();
+      // Timestamps follow the key, so each 256-row group covers a narrow
+      // timestamp span and min/max pruning can skip whole groups.
+      std::vector<Value> rows;
+      for (int i = 0; i < kRows; ++i) {
+        rows.push_back(RecordBuilder()
+                           .Add("id", Value::Int64(i))
+                           .Add("author-id", Value::Int64((i * 7) % 23))
+                           .Add("timestamp", Value::Int64(10000 + i))
+                           .Add("message", Value::String(std::string(
+                                               40, static_cast<char>('a' + i % 26))))
+                           .Build());
+      }
+      for (const char* ds : {"CC.RowM", "CC.ColM"}) {
+        ASSERT_TRUE(inst->FindDataset(ds)->LoadBulk(rows).ok());
+      }
+      ASSERT_TRUE(inst->FlushAll().ok());
+    }
+  }
+  void TearDown() override {
+    proj_.reset();
+    whole_.reset();
+    env::RemoveAll(dir_);
+  }
+
+  static api::ExecutionResult Run(api::AsterixInstance* inst,
+                                  const std::string& q) {
+    auto r = inst->Execute("use dataverse CC;\n" + q);
+    EXPECT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    return r.ok() ? r.take() : api::ExecutionResult{};
+  }
+
+  // A query with "%s" standing for the dataset name.
+  static std::string On(const std::string& q, const std::string& ds) {
+    std::string out = q;
+    out.replace(out.find("%s"), 2, ds);
+    return out;
+  }
+
+  std::string dir_;
+  std::unique_ptr<api::AsterixInstance> proj_, whole_;
+};
+
+TEST_F(CountProjectionTest, CountsMatchWholeRecordPlans) {
+  const std::vector<std::string> queries = {
+      "count(for $m in dataset %s return $m);",
+      "sql-count(for $m in dataset %s return $m);",
+      "count(for $m in dataset %s where $m.timestamp >= 10500 and "
+      "$m.timestamp < 10900 return $m);",
+      "for $m in dataset %s where $m.timestamp >= 11300 and "
+      "$m.timestamp < 11800 group by $a := $m.author-id with $m "
+      "let $cnt := count($m) order by $cnt desc, $a limit 5 "
+      "return { \"a\": $a, \"cnt\": $cnt };",
+      "for $m in dataset %s group by $a := $m.author-id with $m "
+      "let $cnt := sql-count($m) order by $cnt desc, $a limit 3 "
+      "return { \"a\": $a, \"cnt\": $cnt };",
+  };
+  auto expect_all_agree = [&](const std::string& phase) {
+    for (const auto& q : queries) {
+      SCOPED_TRACE(phase + ": " + q);
+      std::vector<Value> want = Run(whole_.get(), On(q, "RowM")).values;
+      ASSERT_FALSE(want.empty());
+      for (api::AsterixInstance* inst : {proj_.get(), whole_.get()}) {
+        for (const char* ds : {"RowM", "ColM"}) {
+          std::vector<Value> got = Run(inst, On(q, ds)).values;
+          ASSERT_EQ(got.size(), want.size()) << ds;
+          for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].Compare(want[i]), 0)
+                << ds << " @" << i << ": " << got[i].ToString() << " vs "
+                << want[i].ToString();
+          }
+        }
+      }
+    }
+  };
+  expect_all_agree("one disk component");
+  EXPECT_EQ(Run(proj_.get(), On(queries[0], "ColM")).values[0].AsInt(), kRows);
+  EXPECT_EQ(Run(proj_.get(), On(queries[2], "RowM")).values[0].AsInt(), 400);
+
+  // Deletes and new keys in memory over the disk component, then a second
+  // disk component: counts that project nothing still resolve every key.
+  for (api::AsterixInstance* inst : {proj_.get(), whole_.get()}) {
+    for (const char* ds : {"RowM", "ColM"}) {
+      Run(inst, On("delete $m from dataset %s where $m.id < 100;", ds));
+      Run(inst, On("insert into dataset %s ({ \"id\": 5000, \"author-id\": 1, "
+                   "\"timestamp\": 10600, \"message\": \"late\" });",
+                   ds));
+    }
+  }
+  expect_all_agree("memory over disk");
+  ASSERT_TRUE(proj_->FlushAll().ok());
+  ASSERT_TRUE(whole_->FlushAll().ok());
+  expect_all_agree("two disk components");
+  EXPECT_EQ(Run(proj_.get(), On(queries[0], "ColM")).values[0].AsInt(),
+            kRows - 100 + 1);
+}
+
+TEST_F(CountProjectionTest, CountScansProjectAndPrune) {
+  // A bare count reads no field at all.
+  std::string row_count =
+      Run(proj_.get(), "count(for $m in dataset RowM return $m);").job_plan;
+  EXPECT_NE(row_count.find("scan(RowM) project=[]"), std::string::npos)
+      << row_count;
+  std::string whole_count =
+      Run(whole_.get(), "count(for $m in dataset RowM return $m);").job_plan;
+  EXPECT_EQ(whole_count.find("project="), std::string::npos) << whole_count;
+
+  // The grouped top-k shape: a vectorized column scan of the two touched
+  // fields, with the timestamp range pruning row groups.
+  metrics::Counter* pruned = metrics::MetricsRegistry::Default().GetCounter(
+      "storage.column.row_groups_pruned");
+  uint64_t pruned_before = pruned->value();
+  auto ea = Run(proj_.get(),
+                "explain analyze for $m in dataset ColM where "
+                "$m.timestamp >= 11300 and $m.timestamp < 11800 "
+                "group by $a := $m.author-id with $m let $cnt := count($m) "
+                "order by $cnt desc, $a limit 5 "
+                "return { \"a\": $a, \"cnt\": $cnt };");
+  ASSERT_EQ(ea.values.size(), 1u);
+  std::string plan = ea.values[0].AsString();
+  EXPECT_NE(plan.find("vector-column-scan(ColM)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("project=[author-id,timestamp]"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("range=["), std::string::npos) << plan;
+  EXPECT_GT(pruned->value(), pruned_before);
+}
+
+// count($r) of a left-outer join's padded side: the padding is the same
+// whether $r's scan is projected or not, so projected and whole-record plans
+// agree, and $r's scan reads only the join key and the filtered field.
+TEST_F(CountProjectionTest, CountOfLeftOuterPaddedBinding) {
+  using algebricks::Expr;
+  using algebricks::LogicalOp;
+  using algebricks::MakeOp;
+  auto field = [](const char* var, const char* f) {
+    return Expr::FieldAccess(Expr::Var(var), f);
+  };
+  for (const char* inner : {"CC.RowM", "CC.ColM"}) {
+    SCOPED_TRACE(inner);
+    auto l_scan = MakeOp(LogicalOp::Kind::kDataSourceScan);
+    l_scan->dataset = "CC.ColM";
+    l_scan->var = "l";
+    auto l_sel = MakeOp(LogicalOp::Kind::kSelect);
+    l_sel->inputs = {l_scan};
+    l_sel->expr = Expr::Compare(">=", field("l", "timestamp"),
+                                Expr::Const(Value::Int64(11800)));
+    auto r_scan = MakeOp(LogicalOp::Kind::kDataSourceScan);
+    r_scan->dataset = inner;
+    r_scan->var = "r";
+    auto r_sel = MakeOp(LogicalOp::Kind::kSelect);
+    r_sel->inputs = {r_scan};
+    r_sel->expr = Expr::Compare("=", field("r", "author-id"),
+                                Expr::Const(Value::Int64(3)));
+    auto join = MakeOp(LogicalOp::Kind::kJoin);
+    join->inputs = {l_sel, r_sel};
+    join->left_outer = true;
+    join->expr = Expr::Compare("=", field("l", "id"), field("r", "id"));
+    auto group = MakeOp(LogicalOp::Kind::kGroupBy);
+    group->inputs = {join};
+    group->group_keys = {{"a", field("l", "author-id")}};
+    for (const char* fn : {"count", "sql-count"}) {
+      LogicalOp::AggCall agg;
+      agg.out_var = std::string("n_") + fn;
+      agg.fn = fn;
+      agg.arg = Expr::Var("r");
+      group->aggs.push_back(agg);
+    }
+    LogicalOp::AggCall all;
+    all.out_var = "n_l";
+    all.fn = "count";
+    all.arg = Expr::Var("l");
+    group->aggs.push_back(all);
+    auto dist = MakeOp(LogicalOp::Kind::kDistribute);
+    dist->inputs = {group};
+    dist->expr = Expr::RecordCtor(
+        {"a", "r", "sr", "l"},
+        {Expr::Var("a"), Expr::Var("n_count"), Expr::Var("n_sql-count"),
+         Expr::Var("n_l")});
+
+    algebricks::OptimizerOptions projected;
+    algebricks::OptimizerOptions whole;
+    whole.push_projection_into_scan = false;
+    auto got = testing_util::RunHandPlan(proj_.get(), dist, projected);
+    auto want = testing_util::RunHandPlan(proj_.get(), dist, whole);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_NE(got.value().logical_plan.find(
+                  "data-scan $r <- " + std::string(inner) +
+                  "  project=[author-id,id]"),
+              std::string::npos)
+        << got.value().logical_plan;
+    EXPECT_NE(got.value().logical_plan.find(
+                  "data-scan $l <- CC.ColM  project=[author-id,id,timestamp]"),
+              std::string::npos)
+        << got.value().logical_plan;
+    ASSERT_EQ(got.value().values.size(), 23u);
+    ASSERT_EQ(got.value().values.size(), want.value().values.size());
+    int64_t preserved = 0, matched = 0;
+    for (size_t i = 0; i < got.value().values.size(); ++i) {
+      const Value& g = got.value().values[i];
+      EXPECT_EQ(g.Compare(want.value().values[i]), 0)
+          << g.ToString() << " vs " << want.value().values[i].ToString();
+      preserved += g.GetField("l").AsInt();
+      if (g.GetField("a").AsInt() == 3) matched = g.GetField("l").AsInt();
+    }
+    // Every preserved row is counted once; only author 3's rows matched.
+    EXPECT_EQ(preserved, kRows - 1800);
+    EXPECT_GT(matched, 0);
+  }
 }
 
 }  // namespace

@@ -636,6 +636,10 @@ const std::vector<const char*>& VecQueries() {
       "for $t in dataset %s where $t.a = \"alpha7\" return $t.id;",
       "avg(for $t in dataset %s where $t.e >= 5 return $t.f);",
       "count(for $t in dataset %s where $t.e < 3 return $t);",
+      "sql-count(for $t in dataset %s where $t.e < 3 return $t);",
+      "count(for $t in dataset %s return $t);",
+      "for $t in dataset %s where $t.e >= 4 group by $k := $t.g with $t "
+      "let $c := count($t) return { \"k\": $k, \"c\": $c };",
       "sum(for $t in dataset %s where $t.g = true return $t.e);"};
   return qs;
 }
@@ -741,6 +745,18 @@ TEST(VectorExecTest, ApiEndToEndVectorizedVsInterpretedVsRowFormat) {
   ASSERT_TRUE(ea2.ok()) << ea2.status().ToString();
   std::string plan2 = ea2.value().values[0].AsString();
   EXPECT_NE(plan2.find("vector-local-aggregate"), std::string::npos) << plan2;
+
+  // count($t) reads no field of $t: the filtered count projects only the
+  // filter field and takes the same vector split.
+  auto ea3 = vec_inst.Execute(
+      "use dataverse VecTest; explain analyze count(for $t in dataset ColT "
+      "where $t.e < 3 return $t);");
+  ASSERT_TRUE(ea3.ok()) << ea3.status().ToString();
+  std::string plan3 = ea3.value().values[0].AsString();
+  EXPECT_NE(plan3.find("vector-column-scan(ColT) project=[e]"),
+            std::string::npos)
+      << plan3;
+  EXPECT_NE(plan3.find("vector-local-aggregate"), std::string::npos) << plan3;
 
   // The interpreter twin compiled no vector operators.
   auto iea = interp_inst.Execute(
