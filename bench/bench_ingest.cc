@@ -2,9 +2,10 @@
 // one dataset with a deliberately tiny memory-component budget, so the run
 // is dominated by LSM maintenance. The bench runs the same workload twice —
 // once with the background compaction scheduler (flushes/merges off the
-// ingest path) and once with ASTERIX_INGEST_SYNC=1 forcing the old inline
-// behaviour — and reports, per phase: sustained throughput, rolling 100 ms
-// throughput windows (the "does ingest flatline during a flush?" signal),
+// ingest path) and once with InstanceConfig::async_compaction = false, where
+// the writer that trips a flush or merge runs the same job body itself —
+// and reports, per phase: sustained throughput, rolling 100 ms throughput
+// windows (the "does ingest flatline during a flush?" signal),
 // client-visible insert-latency percentiles, the per-phase write-stall
 // histogram (count/sum/p99/max), and final write amplification. Results
 // land in BENCH_ingest.json; with ASTERIX_BENCH_REQUIRE_INGEST_SPEEDUP=1
@@ -66,17 +67,11 @@ struct PhaseResult {
   std::string compaction_json = "{ \"enabled\": false }";
 };
 
-// One full ingest phase against a fresh instance. `async` drives the
-// ASTERIX_INGEST_SYNC boot knob — the same switch an operator would flip —
-// so the two phases differ only in where maintenance runs.
+// One full ingest phase against a fresh instance. `async` sets
+// InstanceConfig::async_compaction, so the two phases differ only in where
+// maintenance runs.
 PhaseResult RunPhase(bool async, int writers, double seconds,
                      size_t mem_budget, size_t payload_bytes) {
-  if (async) {
-    unsetenv("ASTERIX_INGEST_SYNC");
-  } else {
-    setenv("ASTERIX_INGEST_SYNC", "1", 1);
-  }
-
   auto& reg = metrics::MetricsRegistry::Default();
   const uint64_t ingested0 =
       reg.GetCounter("storage.lsm.bytes_ingested")->value();
@@ -99,6 +94,7 @@ PhaseResult RunPhase(bool async, int writers, double seconds,
     config.cluster.job_startup_us = 0;
     config.enable_monitoring = false;
     config.lsm.mem_budget_bytes = mem_budget;
+    config.async_compaction = async;
     api::AsterixInstance db(config);
     if (!db.Boot().ok()) return out;
     auto ddl = db.Execute(R"aql(
@@ -252,9 +248,6 @@ int Main() {
       EnvInt("ASTERIX_INGEST_MEM_BUDGET", 1024 * 1024));
   const size_t payload_bytes =
       static_cast<size_t>(EnvInt("ASTERIX_INGEST_PAYLOAD", 2048));
-  // Preserve the caller's knob (RunPhase overrides it per phase).
-  const char* prior_sync = std::getenv("ASTERIX_INGEST_SYNC");
-
   std::printf(
       "ingest bench: %d writers, %.1fs per phase, %zu-byte budget, "
       "%zu-byte payload\n",
@@ -275,11 +268,6 @@ int Main() {
               async.throughput_rps, Percentile(&async.insert_us, 0.99),
               static_cast<unsigned long long>(async.stall_count),
               async.stall_p99_us, async.write_amp);
-  if (prior_sync != nullptr) {
-    setenv("ASTERIX_INGEST_SYNC", prior_sync, 1);
-  } else {
-    unsetenv("ASTERIX_INGEST_SYNC");
-  }
 
   double speedup = sync.throughput_rps > 0
                        ? async.throughput_rps / sync.throughput_rps

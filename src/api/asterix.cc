@@ -342,11 +342,9 @@ Status AsterixInstance::Boot() {
   }
   // Background compaction pool, created before any LSM tree exists and
   // wired into the LsmOptions every index (metadata catalogs included) is
-  // constructed with. ASTERIX_INGEST_SYNC=1 forces the pre-PR-10 fully
-  // synchronous maintenance (the bench_ingest A/B baseline).
-  const char* sync_env = std::getenv("ASTERIX_INGEST_SYNC");
-  bool sync_forced = sync_env != nullptr && sync_env[0] == '1';
-  if (config_.async_compaction && !sync_forced) {
+  // constructed with. Without it every flush and merge runs on the writer
+  // that trips it (the bench_ingest A/B baseline).
+  if (config_.async_compaction) {
     storage::CompactionScheduler::Options copts;
     copts.threads = config_.cluster.compaction_threads;
     copts.queue_limit = config_.cluster.compaction_queue_limit;

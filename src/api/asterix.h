@@ -56,10 +56,9 @@ struct InstanceConfig {
   /// Background LSM maintenance: when true (the default), Boot() creates a
   /// shared compaction scheduler (ClusterConfig::compaction_threads) and
   /// every index flushes/merges off the ingest path — writers rotate to a
-  /// fresh memtable instead of paying the flush inline. Set false (or
-  /// export ASTERIX_INGEST_SYNC=1) to restore fully synchronous
-  /// maintenance: flushes stall the writer, as before PR 10 — the A/B knob
-  /// bench_ingest compares against.
+  /// fresh memtable instead of paying the flush inline. Set false to have
+  /// the writer that trips a flush or merge run it itself (the stall is
+  /// the flush) — the A/B knob bench_ingest compares against.
   bool async_compaction = true;
 };
 
@@ -180,8 +179,8 @@ class AsterixInstance {
   monitor::MetricsSampler* sampler() { return sampler_.get(); }
   server::HealthWatchdog* watchdog() { return watchdog_.get(); }
 
-  /// Background compaction scheduler (null when async_compaction is false
-  /// or ASTERIX_INGEST_SYNC=1 forced inline maintenance at boot).
+  /// Background compaction scheduler (null when async_compaction is
+  /// false).
   storage::CompactionScheduler* compaction() { return compaction_.get(); }
 
   /// Where slow queries are logged (one JSON line per over-threshold query;

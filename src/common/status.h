@@ -93,7 +93,8 @@ class Status {
 };
 
 /// Either a value of type T or a failure Status. The value accessors must
-/// only be called after checking `ok()`.
+/// only be called after checking `ok()`; status() is always safe and reads
+/// OK on a value.
 template <typename T>
 class Result {
  public:
@@ -101,7 +102,10 @@ class Result {
   Result(Status status) : var_(std::move(status)) {}  // NOLINT
 
   bool ok() const { return std::holds_alternative<T>(var_); }
-  const Status& status() const { return std::get<Status>(var_); }
+  const Status& status() const {
+    static const Status kOk = Status::OK();
+    return ok() ? kOk : std::get<Status>(var_);
+  }
   T& value() { return std::get<T>(var_); }
   const T& value() const { return std::get<T>(var_); }
   T take() { return std::move(std::get<T>(var_)); }

@@ -57,9 +57,9 @@ class Compactable {
 ///    for a rotation that cannot drain.
 ///
 /// Schedule() returns false when the job cannot be accepted (scheduler
-/// stopped, tree released, or queue full) — callers fall back to inline
-/// synchronous maintenance so memory stays bounded even when the pool is
-/// hopelessly behind.
+/// stopped, tree released, or queue full) — callers then run the job body
+/// themselves, so memory stays bounded even when the pool is hopelessly
+/// behind.
 class CompactionScheduler {
  public:
   struct Options {
@@ -95,8 +95,8 @@ class CompactionScheduler {
   /// scheduler is not stopped and the tree is not released). Queued jobs
   /// are silently dropped by Stop()/Release(), so a writer parked on work
   /// it queued earlier must re-check this: once it turns false, nothing
-  /// will ever run that job and the caller has to fall back to inline
-  /// maintenance (see the hard-ceiling wait in LsmBTree).
+  /// will ever run that job and the caller has to run the job body itself
+  /// (see the hard-ceiling wait in LsmBTree).
   bool Accepting(Compactable* tree) const;
 
   /// Blocks until the tree has no queued and no running job. Follow-up jobs

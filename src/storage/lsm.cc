@@ -63,8 +63,8 @@ constexpr uint64_t kThrottleMaxUs = 2'000;
 constexpr uint32_t kThrottleMaxLevel = 8;
 
 /// Every stalled or throttled ingest write goes through here, whatever the
-/// mechanism (inline flush in sync mode, soft throttle delay, or a
-/// hard-ceiling block in async mode) — one accounting path, so the numbers
+/// mechanism (a flush body run by the writer, soft throttle delay, or a
+/// hard-ceiling block) — one accounting path, so the numbers
 /// in `storage.lsm.write_stall_us` and the journal can't drift.
 void RecordWriteStall(uint64_t stall_us, const char* tree_name) {
   static metrics::Histogram* h = metrics::MetricsRegistry::Default().GetHistogram(
@@ -470,156 +470,101 @@ Status LsmBTree::MaybeRotateLocked(std::unique_lock<std::shared_mutex>& lock) {
   }
   if (!bg_error_.ok()) return bg_error_;
   CompactionScheduler* sched = options_.scheduler;
-  if (sched != nullptr) {
-    if (imm_ == nullptr) {
-      // Steady state: rotate to a fresh memtable and hand the immutable one
-      // to the background pool — the writer pays no stall at all.
-      RotateLocked();
-      if (sched->Schedule(this, CompactionJobKind::kFlush)) {
-        return Status::OK();
-      }
-      // Queue full / scheduler stopping: fall through to the inline flush
-      // below so memory stays bounded (the honest-stall path).
-    } else {
-      // Default ceiling is 3x budget: the rotated imm component already
-      // holds ~1x, so anything lower leaves no soft band between the
-      // budget trip and the hard block — every writer would skip the
-      // throttle and stall for the whole flush.
-      size_t hard = options_.mem_hard_limit_bytes != 0
-                        ? options_.mem_hard_limit_bytes
-                        : 3 * options_.mem_budget_bytes;
-      uint64_t stall_start_us = NowUs();
-      if (mem_bytes_ + imm_->bytes < hard) {
-        // Previous rotation still flushing: soft-throttle this writer with
-        // an escalating delay instead of flushing inline.
-        uint32_t level = std::min(throttle_level_, kThrottleMaxLevel);
-        ++throttle_level_;
-        uint64_t delay_us =
-            std::min(kThrottleBaseUs << level, kThrottleMaxUs);
-        lock.unlock();
-        std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
-        RecordWriteStall(NowUs() - stall_start_us, lifecycle_.name().c_str());
-        lock.lock();
-        return bg_error_;
-      }
-      // Hard memory ceiling: block until the in-flight flush clears so the
-      // tree cannot grow without bound when ingest outruns the pool. The
-      // wait must poll: the flush that will clear imm_ may still be only
-      // *queued*, and Stop()/Release() drop queued jobs without notifying
-      // the tree — once the scheduler no longer accepts work for this tree,
-      // nothing will ever clear imm_, so fall back to an inline flush
-      // instead of blocking forever.
-      for (;;) {
-        if (imm_cv_.wait_for(lock, std::chrono::milliseconds(10), [&] {
-              return imm_ == nullptr || !bg_error_.ok();
-            })) {
-          break;
-        }
-        if (!flush_inflight_ && !sched->Accepting(this)) {
-          Status st = FlushLocked();  // drains imm_ and mem_ inline
-          RecordWriteStall(NowUs() - stall_start_us,
-                           lifecycle_.name().c_str());
-          return st;
-        }
-      }
+  uint64_t stall_start_us = NowUs();
+  bool stalled = false;
+  if (imm_ != nullptr) {
+    // Default ceiling is 3x budget: the rotated imm component already
+    // holds ~1x, so anything lower leaves no soft band between the budget
+    // trip and the hard block — every writer would skip the throttle and
+    // stall for the whole flush.
+    size_t hard = options_.mem_hard_limit_bytes != 0
+                      ? options_.mem_hard_limit_bytes
+                      : 3 * options_.mem_budget_bytes;
+    if (mem_bytes_ + imm_->bytes < hard) {
+      // Previous rotation still flushing: soft-throttle this writer with an
+      // escalating delay instead of waiting for the flush.
+      uint32_t level = std::min(throttle_level_, kThrottleMaxLevel);
+      ++throttle_level_;
+      uint64_t delay_us = std::min(kThrottleBaseUs << level, kThrottleMaxUs);
+      lock.unlock();
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
       RecordWriteStall(NowUs() - stall_start_us, lifecycle_.name().c_str());
-      if (!bg_error_.ok()) return bg_error_;
-      RotateLocked();
-      if (sched->Schedule(this, CompactionJobKind::kFlush)) {
-        return Status::OK();
+      lock.lock();
+      return bg_error_;
+    }
+    // Hard memory ceiling: block until imm_ clears so the tree cannot grow
+    // without bound when ingest outruns maintenance. The wait must poll:
+    // the flush that will clear imm_ may still be only *queued*, and
+    // Stop()/Release() drop queued jobs without notifying the tree. When no
+    // flush is running and the pool will not run one, this writer runs the
+    // flush body itself instead of blocking forever.
+    stalled = true;
+    Status st;
+    auto cleared = [&] { return imm_ == nullptr || !bg_error_.ok(); };
+    while (st.ok() &&
+           !imm_cv_.wait_for(lock, std::chrono::milliseconds(10), cleared)) {
+      if (!flush_inflight_ && (sched == nullptr || !sched->Accepting(this))) {
+        lock.unlock();
+        st = BackgroundFlush();
+        lock.lock();
       }
     }
+    if (st.ok()) st = bg_error_;
+    if (!st.ok() || mem_bytes_ < options_.mem_budget_bytes) {
+      RecordWriteStall(NowUs() - stall_start_us, lifecycle_.name().c_str());
+      return st;
+    }
   }
-  // Synchronous mode (or async fallback): the stall is the flush itself.
-  uint64_t stall_start_us = NowUs();
-  Status st = FlushLocked();
-  RecordWriteStall(NowUs() - stall_start_us, lifecycle_.name().c_str());
+  // Rotate to a fresh memtable and hand the flush to the pool: the writer
+  // pays no stall at all. When the pool does not take the job (no
+  // scheduler, queue full, scheduler stopping) the writer runs the same
+  // flush body itself, outside the tree lock — the stall is the flush.
+  RotateLocked();
+  Status st;
+  if (sched == nullptr || !sched->Schedule(this, CompactionJobKind::kFlush)) {
+    lock.unlock();
+    st = BackgroundFlush();
+    stalled = true;
+  }
+  if (stalled) {
+    RecordWriteStall(NowUs() - stall_start_us, lifecycle_.name().c_str());
+  }
   return st;
 }
 
 Status LsmBTree::Flush() {
   if (options_.scheduler != nullptr) options_.scheduler->Quiesce(this);
-  std::unique_lock lock(mu_);
-  imm_cv_.wait(lock, [&] {
-    return (!flush_inflight_ && !merge_inflight_) || !bg_error_.ok();
-  });
-  if (!bg_error_.ok()) return bg_error_;
-  return FlushLocked();
-}
-
-void LsmBTree::FinishFlushLocked(ComponentInfo info,
-                                 std::shared_ptr<DiskComponentReader> reader,
-                                 uint64_t bytes_in, uint64_t flush_start_us) {
-  uint64_t flushed_bytes = info.bytes;
-  uint64_t max_lsn = info.max_lsn;
-  disk_.push_back(DiskComponent{std::move(info), std::move(reader)});
-  flushed_lsn_ = std::max(flushed_lsn_, max_lsn);
+  // Oldest in-memory data first: imm_, then mem_ rotated into a fresh imm_
+  // (unless imm_ already refilled — a rotation takes all of mem_).
+  ASTERIX_RETURN_NOT_OK(BackgroundFlush());
   {
-    auto& reg = metrics::MetricsRegistry::Default();
-    static metrics::Counter* flushes = reg.GetCounter("storage.lsm.flushes");
-    static metrics::Counter* bytes = reg.GetCounter("storage.lsm.bytes_flushed");
-    static metrics::Histogram* flush_us = reg.GetHistogram("storage.lsm.flush_us");
-    flushes->Inc();
-    bytes->Inc(flushed_bytes);
-    flush_us->Observe(NowUs() - flush_start_us);
-    if (options_.format == StorageFormat::kColumn) {
-      static metrics::Counter* col_bytes =
-          reg.GetCounter("storage.column.bytes_flushed");
-      col_bytes->Inc(flushed_bytes);
+    std::unique_lock lock(mu_);
+    if (imm_ == nullptr && !mem_.empty()) RotateLocked();
+  }
+  ASTERIX_RETURN_NOT_OK(BackgroundFlush());
+  return MergeWhileWanted();
+}
+
+Status LsmBTree::MaybeMerge() {
+  if (options_.scheduler != nullptr) options_.scheduler->Quiesce(this);
+  return MergeWhileWanted();
+}
+
+Status LsmBTree::MergeWhileWanted() {
+  for (;;) {
+    {
+      std::shared_lock lock(mu_);
+      if (!bg_error_.ok()) return bg_error_;
+      if (!MergeWantedLocked()) return Status::OK();
     }
-    UpdateWriteAmplification();
+    ASTERIX_RETURN_NOT_OK(BackgroundMerge());
   }
-  // Physical write caused by the query whose ingest tripped the flush (0 =
-  // background/boot work, which the ledger ignores). Background jobs run
-  // under the triggering query's id (see CompactionScheduler).
-  ledger::ResourceLedger::Default().AddBytesWritten(journal::CurrentQueryId(),
-                                                    flushed_bytes);
-  journal::Journal::Default().Post(journal::EventKind::kLsmFlushEnd, bytes_in,
-                                   flushed_bytes, lifecycle_.name().c_str());
 }
 
-Status LsmBTree::FlushTableLocked(const MemTable& entries, size_t bytes_in,
-                                  uint64_t max_lsn) {
-  uint64_t flush_start_us = NowUs();
-  journal::Journal::Default().Post(journal::EventKind::kLsmFlushStart, bytes_in,
-                                   entries.size(), lifecycle_.name().c_str());
-  uint64_t seq = lifecycle_.AllocateSeq();
-  std::string path = lifecycle_.ComponentPath(seq);
-  uint64_t num_entries = 0;
-  ASTERIX_RETURN_NOT_OK(BuildComponent(entries, path, &num_entries));
-  // The validity bit makes the new component durable *after* its data file
-  // is fully written (shadowing).
-  ASTERIX_RETURN_NOT_OK(lifecycle_.MarkValid(seq, num_entries, max_lsn));
-  std::shared_ptr<DiskComponentReader> reader;
-  ASTERIX_RETURN_NOT_OK(OpenReader(path, &reader));
-  ComponentInfo info;
-  info.seq = seq;
-  info.path = path;
-  info.num_entries = num_entries;
-  info.bytes = env::FileSize(path);
-  info.max_lsn = max_lsn;
-  FinishFlushLocked(std::move(info), std::move(reader), bytes_in,
-                    flush_start_us);
-  return Status::OK();
-}
-
-Status LsmBTree::FlushLocked() {
-  if (imm_ != nullptr) {
-    // A rotated component whose background flush has not started (barrier
-    // call or async fallback): flush it inline, oldest data first.
-    ASTERIX_RETURN_NOT_OK(
-        FlushTableLocked(imm_->entries, imm_->bytes, imm_->max_lsn));
-    imm_.reset();
-    throttle_level_ = 0;
-    imm_cv_.notify_all();
-  }
-  if (!mem_.empty()) {
-    ASTERIX_RETURN_NOT_OK(FlushTableLocked(mem_, mem_bytes_, mem_max_lsn_));
-    mem_.clear();
-    mem_bytes_ = 0;
-    mem_max_lsn_ = 0;
-  }
-  return MaybeMergeLockedImpl();
+bool LsmBTree::MergeHereLocked() {
+  if (merge_inflight_ || !MergeWantedLocked()) return false;
+  return options_.scheduler == nullptr ||
+         !options_.scheduler->Schedule(this, CompactionJobKind::kMerge);
 }
 
 Status LsmBTree::BackgroundFlush() {
@@ -627,8 +572,11 @@ Status LsmBTree::BackgroundFlush() {
   uint64_t seq = 0;
   {
     std::unique_lock lock(mu_);
+    // One flush at a time: a second caller waits out the running one, then
+    // flushes whatever imm_ holds by then (usually nothing).
+    imm_cv_.wait(lock, [&] { return !flush_inflight_ || !bg_error_.ok(); });
     if (!bg_error_.ok()) return bg_error_;
-    if (imm_ == nullptr) return Status::OK();  // resolved by a barrier
+    if (imm_ == nullptr) return Status::OK();
     imm = imm_;
     seq = lifecycle_.AllocateSeq();
     flush_inflight_ = true;
@@ -643,6 +591,8 @@ Status LsmBTree::BackgroundFlush() {
   uint64_t num_entries = 0;
   std::shared_ptr<DiskComponentReader> reader;
   Status st = BuildComponent(imm->entries, path, &num_entries);
+  // The validity bit makes the new component durable *after* its data file
+  // is fully written (shadowing).
   if (st.ok()) st = lifecycle_.MarkValid(seq, num_entries, imm->max_lsn);
   if (st.ok()) st = OpenReader(path, &reader);
 
@@ -659,114 +609,47 @@ Status LsmBTree::BackgroundFlush() {
   info.num_entries = num_entries;
   info.bytes = env::FileSize(path);
   info.max_lsn = imm->max_lsn;
-  FinishFlushLocked(std::move(info), std::move(reader), imm->bytes,
-                    flush_start_us);
+  uint64_t flushed_bytes = info.bytes;
+  disk_.push_back(DiskComponent{std::move(info), std::move(reader)});
+  flushed_lsn_ = std::max(flushed_lsn_, imm->max_lsn);
+  {
+    auto& reg = metrics::MetricsRegistry::Default();
+    static metrics::Counter* flushes = reg.GetCounter("storage.lsm.flushes");
+    static metrics::Counter* bytes = reg.GetCounter("storage.lsm.bytes_flushed");
+    static metrics::Histogram* flush_us = reg.GetHistogram("storage.lsm.flush_us");
+    flushes->Inc();
+    bytes->Inc(flushed_bytes);
+    flush_us->Observe(NowUs() - flush_start_us);
+    if (options_.format == StorageFormat::kColumn) {
+      static metrics::Counter* col_bytes =
+          reg.GetCounter("storage.column.bytes_flushed");
+      col_bytes->Inc(flushed_bytes);
+    }
+    UpdateWriteAmplification();
+  }
+  // Physical write caused by the query whose ingest tripped the flush (0 =
+  // background/boot work, which the ledger ignores). Pool jobs run under
+  // the triggering query's id (see CompactionScheduler).
+  ledger::ResourceLedger::Default().AddBytesWritten(journal::CurrentQueryId(),
+                                                    flushed_bytes);
+  journal::Journal::Default().Post(journal::EventKind::kLsmFlushEnd,
+                                   imm->bytes, flushed_bytes,
+                                   lifecycle_.name().c_str());
   imm_.reset();
   throttle_level_ = 0;
   // Keep ingest ahead: if the mutable side already re-tripped its budget,
   // rotate and queue the next flush before this job counts as done (so a
-  // Quiesce() waiter still sees the tree busy).
-  if (mem_bytes_ >= options_.mem_budget_bytes &&
-      options_.scheduler->Schedule(this, CompactionJobKind::kFlush)) {
+  // Quiesce() waiter still sees the tree busy). Without a pool taker the
+  // next writer trips the budget and flushes it.
+  CompactionScheduler* sched = options_.scheduler;
+  if (sched != nullptr && mem_bytes_ >= options_.mem_budget_bytes &&
+      sched->Schedule(this, CompactionJobKind::kFlush)) {
     RotateLocked();
   }
-  if (MergeWantedLocked()) {
-    options_.scheduler->Schedule(this, CompactionJobKind::kMerge);
-  }
+  bool merge_here = MergeHereLocked();
   imm_cv_.notify_all();
-  return Status::OK();
-}
-
-Status LsmBTree::MaybeMerge() {
-  if (options_.scheduler != nullptr) options_.scheduler->Quiesce(this);
-  std::unique_lock lock(mu_);
-  imm_cv_.wait(lock, [&] {
-    return (!flush_inflight_ && !merge_inflight_) || !bg_error_.ok();
-  });
-  if (!bg_error_.ok()) return bg_error_;
-  return MaybeMergeLockedImpl();
-}
-
-Status LsmBTree::MergeComponents(size_t first, size_t count) {
-  if (count < 2) return Status::OK();
-  uint64_t merge_start_us = NowUs();
-  uint64_t bytes_in = 0;
-  for (size_t i = first; i < first + count; ++i) {
-    bytes_in += disk_[i].info.bytes;
-  }
-  journal::Journal::Default().Post(journal::EventKind::kLsmMergeStart, bytes_in,
-                                   count, lifecycle_.name().c_str());
-  bool includes_oldest = first == 0;
-  // Gather all entries from the run, newest component winning per key.
-  std::map<CompositeKey, MemEntry, KeyLess> merged;
-  for (size_t i = first; i < first + count; ++i) {
-    // Older first: later (newer) components overwrite.
-    ScanBounds all;
-    ASTERIX_RETURN_NOT_OK(disk_[i].reader->RangeScan(
-        all, [&](const IndexEntry& e) {
-          merged.insert_or_assign(e.key, MemEntry{e.antimatter, e.payload});
-          return Status::OK();
-        }));
-  }
-  // The output file gets a fresh name, but sorts at its newest input's
-  // position (and the marker's replaces range lets recovery finish the
-  // input cleanup if we crash after MarkValid).
-  uint64_t file_seq = lifecycle_.AllocateSeq();
-  uint64_t sort_seq = disk_[first + count - 1].info.seq;
-  uint64_t replaces_lo = disk_[first].info.seq;
-  std::string path = lifecycle_.ComponentPath(file_seq);
-  uint64_t max_lsn = 0;
-  for (size_t i = first; i < first + count; ++i) {
-    max_lsn = std::max(max_lsn, disk_[i].info.max_lsn);
-  }
-  // Antimatter entries are dropped only when no older component remains to
-  // be cancelled.
-  if (includes_oldest) {
-    for (auto it = merged.begin(); it != merged.end();) {
-      it = it->second.antimatter ? merged.erase(it) : std::next(it);
-    }
-  }
-  uint64_t num_entries = 0;
-  ASTERIX_RETURN_NOT_OK(BuildComponent(merged, path, &num_entries));
-  ASTERIX_RETURN_NOT_OK(lifecycle_.MarkValid(file_seq, num_entries, max_lsn,
-                                             sort_seq, replaces_lo, sort_seq));
-  std::shared_ptr<DiskComponentReader> reader;
-  ASTERIX_RETURN_NOT_OK(OpenReader(path, &reader));
-  ComponentInfo info;
-  info.seq = sort_seq;
-  info.path = path;
-  info.num_entries = num_entries;
-  info.bytes = env::FileSize(path);
-  info.max_lsn = max_lsn;
-  // Replace the merged run with the new component, then delete old files.
-  std::vector<DiskComponent> removed(disk_.begin() + first,
-                                     disk_.begin() + first + count);
-  disk_.erase(disk_.begin() + first, disk_.begin() + first + count);
-  disk_.insert(disk_.begin() + first, DiskComponent{info, std::move(reader)});
-  for (auto& dc : removed) {
-    dc.reader.reset();  // closes the file in the cache
-    ASTERIX_RETURN_NOT_OK(lifecycle_.RemoveComponent(dc.info));
-  }
-  {
-    auto& reg = metrics::MetricsRegistry::Default();
-    static metrics::Counter* merges = reg.GetCounter("storage.lsm.merges");
-    static metrics::Counter* bytes = reg.GetCounter("storage.lsm.bytes_merged");
-    static metrics::Histogram* merge_us = reg.GetHistogram("storage.lsm.merge_us");
-    merges->Inc();
-    bytes->Inc(info.bytes);
-    merge_us->Observe(NowUs() - merge_start_us);
-    if (options_.format == StorageFormat::kColumn) {
-      static metrics::Counter* col_bytes =
-          reg.GetCounter("storage.column.bytes_merged");
-      col_bytes->Inc(info.bytes);
-    }
-    UpdateWriteAmplification();
-  }
-  ledger::ResourceLedger::Default().AddBytesWritten(journal::CurrentQueryId(),
-                                                    info.bytes);
-  journal::Journal::Default().Post(journal::EventKind::kLsmMergeEnd, bytes_in,
-                                   info.bytes, lifecycle_.name().c_str());
-  return Status::OK();
+  lock.unlock();
+  return merge_here ? BackgroundMerge() : Status::OK();
 }
 
 bool LsmBTree::SelectMergeRunLocked(size_t* first, size_t* count) const {
@@ -833,28 +716,20 @@ bool LsmBTree::MergeWantedLocked() const {
   return SelectMergeRunLocked(&first, &count);
 }
 
-Status LsmBTree::MaybeMergeLockedImpl() {
-  // Never merge inline while a background merge is mid-build: the two
-  // could pick overlapping runs, and the inline install would delete files
-  // the background job is still reading.
-  if (merge_inflight_) return Status::OK();
-  size_t first = 0, count = 0;
-  if (!SelectMergeRunLocked(&first, &count)) return Status::OK();
-  return MergeComponents(first, count);
-}
-
 Status LsmBTree::BackgroundMerge() {
   std::vector<DiskComponent> inputs;
+  size_t first = 0;
   uint64_t file_seq = 0;
   uint64_t max_lsn = 0;
-  bool includes_oldest = false;
   {
     std::unique_lock lock(mu_);
+    // One merge at a time: a second caller waits out the running one, then
+    // applies the policy to the state it left.
+    imm_cv_.wait(lock, [&] { return !merge_inflight_ || !bg_error_.ok(); });
     if (!bg_error_.ok()) return bg_error_;
-    size_t first = 0, count = 0;
+    size_t count = 0;
     if (!SelectMergeRunLocked(&first, &count)) return Status::OK();
     inputs.assign(disk_.begin() + first, disk_.begin() + first + count);
-    includes_oldest = first == 0;
     // The fresh seq only names the output file; the component sorts at its
     // newest input's seq, so a flush installing concurrently (with a
     // higher seq, since flushes always take the latest allocation) stays
@@ -872,11 +747,12 @@ Status LsmBTree::BackgroundMerge() {
                                    inputs.size(), lifecycle_.name().c_str());
   // Gather + build with no tree lock held. The input components are
   // immutable files; concurrent flushes only append to disk_ behind the
-  // run, and no other merge can run on this tree, so the run stays live
-  // and contiguous until install.
+  // run, and merge_inflight_ keeps every other merge out, so the run stays
+  // at disk_[first, first + inputs.size()) until install.
   std::map<CompositeKey, MemEntry, KeyLess> merged;
   Status st;
   for (const auto& dc : inputs) {
+    // Older first: later (newer) components overwrite.
     ScanBounds all;
     st = dc.reader->RangeScan(all, [&](const IndexEntry& e) {
       merged.insert_or_assign(e.key, MemEntry{e.antimatter, e.payload});
@@ -884,13 +760,15 @@ Status LsmBTree::BackgroundMerge() {
     });
     if (!st.ok()) break;
   }
-  if (st.ok() && includes_oldest) {
+  if (st.ok() && first == 0) {
     // Antimatter entries are dropped only when no older component remains
     // to be cancelled (components are never inserted below the oldest).
     for (auto it = merged.begin(); it != merged.end();) {
       it = it->second.antimatter ? merged.erase(it) : std::next(it);
     }
   }
+  // The marker's replaces range lets recovery finish the input cleanup if
+  // we crash after MarkValid.
   std::string path = lifecycle_.ComponentPath(file_seq);
   uint64_t sort_seq = inputs.back().info.seq;
   uint64_t num_entries = 0;
@@ -909,43 +787,16 @@ Status LsmBTree::BackgroundMerge() {
     imm_cv_.notify_all();
     return st;
   }
-  // Re-locate the run by seq: concurrent flush installs may have appended
-  // components behind it (never inside or below it).
-  size_t first = disk_.size();
-  for (size_t i = 0; i < disk_.size(); ++i) {
-    if (disk_[i].info.seq == inputs.front().info.seq) {
-      first = i;
-      break;
-    }
-  }
-  bool intact = first + inputs.size() <= disk_.size();
-  for (size_t i = 0; intact && i < inputs.size(); ++i) {
-    intact = disk_[first + i].info.seq == inputs[i].info.seq;
-  }
-  if (!intact) {
-    // A barrier merged the run inline while we were building (defensive —
-    // barriers wait out merge_inflight_, so this should not happen).
-    ComponentInfo orphan;
-    orphan.seq = file_seq;
-    orphan.path = path;
-    Status rm = lifecycle_.RemoveComponent(orphan);
-    (void)rm;
-    imm_cv_.notify_all();
-    journal::Journal::Default().Post(journal::EventKind::kLsmMergeEnd, bytes_in,
-                                     0, lifecycle_.name().c_str());
-    return Status::OK();
-  }
   ComponentInfo info;
   info.seq = sort_seq;
   info.path = path;
   info.num_entries = num_entries;
   info.bytes = env::FileSize(path);
   info.max_lsn = max_lsn;
-  std::vector<DiskComponent> removed(disk_.begin() + first,
-                                     disk_.begin() + first + inputs.size());
+  // Replace the merged run with the new component, then delete old files.
   disk_.erase(disk_.begin() + first, disk_.begin() + first + inputs.size());
   disk_.insert(disk_.begin() + first, DiskComponent{info, std::move(reader)});
-  for (auto& dc : removed) {
+  for (auto& dc : inputs) {
     dc.reader.reset();  // closes the file in the cache
     Status rm = lifecycle_.RemoveComponent(dc.info);
     if (!rm.ok() && st.ok()) st = rm;
@@ -970,12 +821,13 @@ Status LsmBTree::BackgroundMerge() {
   journal::Journal::Default().Post(journal::EventKind::kLsmMergeEnd, bytes_in,
                                    info.bytes, lifecycle_.name().c_str());
   // Tiering may want another round once this run has collapsed.
-  if (MergeWantedLocked()) {
-    options_.scheduler->Schedule(this, CompactionJobKind::kMerge);
-  }
+  bool merge_here = MergeHereLocked();
   imm_cv_.notify_all();
-  return st;
+  lock.unlock();
+  if (!st.ok()) return st;
+  return merge_here ? BackgroundMerge() : Status::OK();
 }
+
 
 Status LsmBTree::PointLookup(const CompositeKey& key, bool* found,
                              std::vector<uint8_t>* payload) const {

@@ -80,15 +80,17 @@ struct LsmOptions {
   /// The dataset's declared record type; drives schema inference and
   /// schema-typed column encoding (required when format == kColumn).
   adm::DatatypePtr record_type;
-  /// Background maintenance pool. When set, a budget trip rotates the
-  /// memtable to an immutable component and schedules an async flush
-  /// instead of flushing inline; merges run as background jobs too. When
-  /// null (the default), flush and merge stay synchronous on the writer —
-  /// the original behavior, still used by tests and standalone trees.
+  /// Background maintenance pool. A budget trip always rotates the
+  /// memtable to an immutable component and hands its flush (and any merge
+  /// the policy then wants) to this pool. Whenever the pool does not take
+  /// a job — null here (the default: standalone trees and tests), a full
+  /// queue, or a stopped scheduler — the calling thread runs the same job
+  /// body itself, outside the tree lock, and that writer's stall is the
+  /// flush: the caller pays.
   CompactionScheduler* scheduler = nullptr;
-  /// Async mode only: total in-memory bytes (mutable + immutable) at which
-  /// a writer blocks until the in-flight flush completes, bounding memory
-  /// when ingest outruns the flush pool. 0 = 3 * mem_budget_bytes (the imm
+  /// Total in-memory bytes (mutable + immutable) at which a writer blocks
+  /// until the in-flight flush completes, bounding memory when ingest
+  /// outruns maintenance. 0 = 3 * mem_budget_bytes (the imm
   /// component holds ~1x on its own; the extra 1x is the soft-throttle
   /// band — a 2x ceiling would make writers skip the throttle and block).
   size_t mem_hard_limit_bytes = 0;
@@ -179,17 +181,22 @@ class LsmBTree : public Compactable {
                 uint64_t lsn);
   Status Delete(const CompositeKey& key, uint64_t lsn);
 
-  /// Forces all in-memory data to disk. In async mode this is a synchronous
-  /// barrier: it waits for in-flight background maintenance to quiesce,
-  /// then flushes whatever remains inline — on return the memtables are
-  /// empty and the merge policy has been applied.
+  /// Barrier: forces all in-memory data to disk. Quiesces this tree's pool
+  /// jobs, then runs the flush body on the caller for imm_ and for mem_
+  /// rotated behind it, then merges while the policy wants. On return
+  /// every entry accepted before the call is in a valid disk component;
+  /// with no concurrent writer the memtables are empty.
   Status Flush();
 
-  /// Applies the merge policy now (normally triggered by maintenance).
-  /// Barrier semantics in async mode, like Flush().
+  /// Barrier: applies the merge policy now, like the tail of Flush().
   Status MaybeMerge();
 
-  // -- Compactable (scheduler worker entry points) -------------------------
+  // -- Compactable: the one flush body and the one merge body --------------
+  // Run by a pool worker, or by the calling thread when the pool does not
+  // take the job. Each builds its component outside the tree lock and
+  // installs it under the lock; flush_inflight_/merge_inflight_ make a
+  // second caller of the same kind wait for the running one instead of
+  // repeating its work.
   Status BackgroundFlush() override;
   Status BackgroundMerge() override;
   const std::string& compaction_label() const override;
@@ -278,29 +285,24 @@ class LsmBTree : public Compactable {
   /// file at `path` in options_.format, handling payload/page compression.
   Status BuildComponent(const MemTable& entries, const std::string& path,
                         uint64_t* num_entries) const;
-  /// The single budget-trip path shared by Upsert and Delete: rotate and
-  /// schedule in async mode (throttling when the previous rotation is still
-  /// in flight), flush inline in sync mode. May release and reacquire
-  /// `lock`; every stall goes through RecordWriteStall exactly once.
+  /// The single budget-trip path shared by Upsert and Delete: throttle or
+  /// wait while the previous rotation is still in flight, then rotate and
+  /// hand the flush to the pool or run it on this thread. May release
+  /// `lock` (and returns with it released after running a flush); every
+  /// stall goes through RecordWriteStall exactly once.
   Status MaybeRotateLocked(std::unique_lock<std::shared_mutex>& lock);
   /// Moves mem_ into a fresh imm_ (requires the unique lock; imm_ empty).
   void RotateLocked();
-  /// Builds and installs a disk component from `entries`, fully under the
-  /// lock (the synchronous flush body, shared by sync mode and barriers).
-  Status FlushTableLocked(const MemTable& entries, size_t bytes_in,
-                          uint64_t max_lsn);
-  /// Installs an already-built component and records flush accounting.
-  void FinishFlushLocked(ComponentInfo info,
-                         std::shared_ptr<DiskComponentReader> reader,
-                         uint64_t bytes_in, uint64_t flush_start_us);
-  /// Flushes imm_ (if any) then mem_ inline, then applies the merge policy.
-  Status FlushLocked();
-  Status MaybeMergeLockedImpl();
+  /// Runs the merge body on the caller while the policy wants a merge.
+  Status MergeWhileWanted();
+  /// Follow-up after an install: true when the policy wants a merge, none
+  /// is running, and the pool does not take one — the caller then runs
+  /// BackgroundMerge() itself.
+  bool MergeHereLocked();
   /// Merge-policy decision over the current disk_ state; false = no merge.
   bool SelectMergeRunLocked(size_t* first, size_t* count) const;
   /// True when the merge policy wants a merge of the current disk_ state.
   bool MergeWantedLocked() const;
-  Status MergeComponents(size_t first, size_t count);
 
   BufferCache* cache_;
   LsmLifecycle lifecycle_;
@@ -314,20 +316,20 @@ class LsmBTree : public Compactable {
   // Oldest first; the in-memory components are conceptually at the end
   // (imm_ older than mem_).
   std::vector<DiskComponent> disk_;
-  /// Rotated memtable being flushed in the background; null when none.
+  /// Rotated memtable awaiting or under its flush; null when none.
   std::shared_ptr<const ImmComponent> imm_;
-  /// Signaled when imm_ clears (or bg_error_ is set): wakes writers blocked
-  /// at the hard memory ceiling and the barrier retry loops.
+  /// Signaled when imm_ clears, an in-flight flag clears, or bg_error_ is
+  /// set: wakes writers blocked at the hard memory ceiling and callers
+  /// waiting to run a flush or merge body.
   mutable std::condition_variable_any imm_cv_;
   /// Escalates the soft-throttle delay while the flush pool is behind;
   /// reset whenever a rotation succeeds or the budget has headroom.
   uint32_t throttle_level_ = 0;
-  /// True while a background job is building outside the lock; barriers
-  /// wait for these so an inline flush/merge can't duplicate in-flight
-  /// work (cleared with an imm_cv_ notify).
+  /// True while a flush/merge body is building outside the lock; a second
+  /// caller of the same kind waits for it (cleared with an imm_cv_ notify).
   bool flush_inflight_ = false;
   bool merge_inflight_ = false;
-  /// First error from a background job; surfaced to the next writer or
+  /// First error from a flush or merge body; surfaced to the next writer or
   /// barrier call (the tree stops accepting writes until reopened).
   Status bg_error_;
 };

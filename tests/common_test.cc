@@ -5,6 +5,7 @@
 #include "common/bytes.h"
 #include "common/compress.h"
 #include "common/env.h"
+#include "common/status.h"
 #include "common/string_utils.h"
 
 namespace asterix {
@@ -105,6 +106,23 @@ TEST(CompressTest2, RejectsCorruptStream) {
   Status st = LzDecompress(compressed.data(), compressed.size(), &back);
   // Either detected as corrupt or produces the wrong bytes -- never crashes.
   if (st.ok()) EXPECT_NE(back, data);
+}
+
+// ---------------------------------------------------------------------------
+// Status / Result
+// ---------------------------------------------------------------------------
+
+TEST(ResultTest, StatusIsOkOnValueAndTheErrorOnFailure) {
+  Result<int> good(7);
+  ASSERT_TRUE(good.ok());
+  EXPECT_TRUE(good.status().ok());
+  EXPECT_EQ(good.status().code(), StatusCode::kOk);
+  EXPECT_EQ(good.value(), 7);
+
+  Result<int> bad(Status::NotFound("no such key"));
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(bad.status().message(), "no such key");
 }
 
 // ---------------------------------------------------------------------------

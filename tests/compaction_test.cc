@@ -4,12 +4,12 @@
 // while the flush runs, sync-vs-async result equivalence across flushes,
 // merges, and reopen, interrupted-merge cleanup via the validity marker's
 // replaces range (including chained merges whose outputs share a sort seq),
-// the inline-flush fallback for writers parked at the hard ceiling when the
+// the caller-runs flush for writers parked at the hard ceiling when the
 // scheduler stops, soft-throttle stall accounting, the tiered merge policy,
 // the with-clause merge-policy plumbing (DDL -> metadata -> reopen), the
 // watchdog's compaction-backlog condition, the StatusJson compaction
-// section, and a TSan hammer over writers + readers + background
-// maintenance.
+// section, and a TSan hammer over writers + readers + maintenance, run by
+// the pool and by the caller.
 
 #include "storage/compaction.h"
 
@@ -20,6 +20,7 @@
 #include <condition_variable>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -472,26 +473,40 @@ TEST_F(CompactionLsmTest, RecoverSurvivesChainedMergeCrash) {
 
 // While the one worker is parked, budget trips cannot flush: writers must
 // soft-throttle (recorded as write stalls) yet keep succeeding, and all
-// data must surface once the pool drains.
+// data must surface once the pool drains. The blocker is released as soon
+// as the first stall is counted — 120 rows pass the 3x hard ceiling, and a
+// writer parked there waits for the queued flush, i.e. for the blocker.
 TEST_F(CompactionLsmTest, ThrottleRecordsStallsWhilePoolIsBusy) {
   auto* stall_h = metrics::MetricsRegistry::Default().GetHistogram(
       "storage.lsm.write_stall_us");
   stall_h->Reset();
   CompactionScheduler sched({/*threads=*/1, /*queue_limit=*/64});
-  std::mutex log_mu;
   FakeTree blocker("blocker", nullptr, nullptr);
   blocker.set_blocking(true);
   ASSERT_TRUE(sched.Schedule(&blocker, CompactionJobKind::kFlush));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::atomic<bool> writing{true};
+  std::thread releaser([&] {
+    while (stall_h->count() == 0 && writing.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    blocker.Release();
+  });
 
   LsmBTree t(cache_.get(), dir_, "a", AsyncOpts(&sched, /*budget=*/2048));
-  ASSERT_TRUE(t.Open().ok());
-  for (int i = 0; i < 120; ++i) {
-    ASSERT_TRUE(
-        t.Upsert({Value::Int64(i)}, Payload(std::string(60, 'x')), i + 1).ok());
+  Status open = t.Open();
+  int write_errors = 0;
+  for (int i = 0; open.ok() && i < 120; ++i) {
+    if (!t.Upsert({Value::Int64(i)}, Payload(std::string(60, 'x')), i + 1)
+             .ok()) {
+      ++write_errors;
+    }
   }
+  writing.store(false);
+  releaser.join();
+  ASSERT_TRUE(open.ok());
+  EXPECT_EQ(write_errors, 0);
   EXPECT_GT(stall_h->count(), 0u);
-  blocker.Release();
   ASSERT_TRUE(t.Flush().ok());
   size_t n = 0;
   ASSERT_TRUE(t.RangeScan({}, [&](const IndexEntry&) {
@@ -504,7 +519,7 @@ TEST_F(CompactionLsmTest, ThrottleRecordsStallsWhilePoolIsBusy) {
 // Stop() drops queued jobs without running them. A writer blocked at the
 // hard memory ceiling is waiting for exactly such a queued flush to clear
 // imm_ — it must detect that the scheduler no longer accepts work for the
-// tree and fall back to an inline flush instead of blocking forever.
+// tree and run the flush body itself instead of blocking forever.
 TEST_F(CompactionLsmTest, CeilingWriterFallsBackInlineWhenSchedulerStops) {
   CompactionScheduler sched({/*threads=*/1, /*queue_limit=*/64});
   FakeTree blocker("blocker", nullptr, nullptr);
@@ -528,7 +543,7 @@ TEST_F(CompactionLsmTest, CeilingWriterFallsBackInlineWhenSchedulerStops) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   // Stop() drops the tree's queued flush. The blocked writer must recover
-  // via the inline-flush fallback while Stop() is still joining the worker.
+  // by running the flush body while Stop() is still joining the worker.
   std::thread stopper([&] { sched.Stop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   blocker.Release();  // lets Stop() finish joining
@@ -693,64 +708,85 @@ TEST(CompactionWatchdogTest, BacklogEscalatesToCritical) {
 }
 
 // ---------------------------------------------------------------------------
-// Hammer (the TSan target): concurrent writers, readers, and background
-// maintenance on one tree, then a barrier + reopen.
+// Hammer (the TSan target): concurrent writers, readers, and maintenance on
+// one tree, then a barrier + reopen — once with the pool running flushes
+// and merges, once with no scheduler, where the tripping writer runs the
+// same bodies itself outside the tree lock while the others keep going.
 // ---------------------------------------------------------------------------
 
 TEST_F(CompactionLsmTest, HammerWritersReadersAndMaintenance) {
-  CompactionScheduler sched({/*threads=*/3, /*queue_limit=*/64});
+  CompactionScheduler pool({/*threads=*/3, /*queue_limit=*/64});
   constexpr int kWriters = 3;
   constexpr int kReaders = 2;
   constexpr int kPerWriter = 300;
-  {
-    LsmBTree t(cache_.get(), dir_, "a", AsyncOpts(&sched, /*budget=*/4096));
+  CompactionScheduler* const modes[] = {&pool, nullptr};
+  for (CompactionScheduler* sched : modes) {
+    SCOPED_TRACE(sched != nullptr ? "pool" : "caller runs");
+    std::string dir = env::NewScratchDir("compaction-hammer");
+    // Keys each writer saw acknowledged and not deleted since.
+    std::vector<std::set<int64_t>> live(kWriters);
+    {
+      LsmBTree t(cache_.get(), dir, "a", AsyncOpts(sched, /*budget=*/4096));
+      ASSERT_TRUE(t.Open().ok());
+      std::atomic<bool> stop{false};
+      std::atomic<int> write_errors{0};
+      std::vector<std::thread> threads;
+      for (int w = 0; w < kWriters; ++w) {
+        threads.emplace_back([&, w] {
+          std::set<int64_t>& mine = live[static_cast<size_t>(w)];
+          for (int i = 0; i < kPerWriter; ++i) {
+            int64_t key = w * kPerWriter + i;
+            uint64_t lsn = static_cast<uint64_t>(key) + 1;
+            bool del = i % 11 == 10;
+            Status st =
+                del ? t.Delete({Value::Int64(key - 1)}, lsn)
+                    : t.Upsert({Value::Int64(key)},
+                               Payload(std::string(40, 'a' + (key % 26))), lsn);
+            if (!st.ok()) {
+              write_errors.fetch_add(1);
+            } else if (del) {
+              mine.erase(key - 1);
+            } else {
+              mine.insert(key);
+            }
+          }
+        });
+      }
+      for (int r = 0; r < kReaders; ++r) {
+        threads.emplace_back([&] {
+          while (!stop.load()) {
+            bool found = false;
+            std::vector<uint8_t> p;
+            (void)t.PointLookup({Value::Int64(42)}, &found, &p);
+            size_t n = 0;
+            (void)t.RangeScan({}, [&](const IndexEntry&) {
+              ++n;
+              return Status::OK();
+            });
+          }
+        });
+      }
+      for (int w = 0; w < kWriters; ++w) threads[static_cast<size_t>(w)].join();
+      stop.store(true);
+      for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
+      EXPECT_EQ(write_errors.load(), 0);
+      ASSERT_TRUE(t.Flush().ok());
+      EXPECT_EQ(t.mem_entries(), 0u);
+    }
+    // Reopen: exactly the acknowledged, undeleted rows survived.
+    size_t acked = 0;
+    for (const auto& keys : live) acked += keys.size();
+    LsmBTree t(cache_.get(), dir, "a", AsyncOpts(sched, /*budget=*/4096));
     ASSERT_TRUE(t.Open().ok());
-    std::atomic<bool> stop{false};
-    std::atomic<int> write_errors{0};
-    std::vector<std::thread> threads;
-    for (int w = 0; w < kWriters; ++w) {
-      threads.emplace_back([&, w] {
-        for (int i = 0; i < kPerWriter; ++i) {
-          int64_t key = w * kPerWriter + i;
-          uint64_t lsn = static_cast<uint64_t>(key) + 1;
-          Status st =
-              (i % 11 == 10)
-                  ? t.Delete({Value::Int64(key - 1)}, lsn)
-                  : t.Upsert({Value::Int64(key)},
-                             Payload(std::string(40, 'a' + (key % 26))), lsn);
-          if (!st.ok()) write_errors.fetch_add(1);
-        }
-      });
-    }
-    for (int r = 0; r < kReaders; ++r) {
-      threads.emplace_back([&] {
-        while (!stop.load()) {
-          bool found = false;
-          std::vector<uint8_t> p;
-          (void)t.PointLookup({Value::Int64(42)}, &found, &p);
-          size_t n = 0;
-          (void)t.RangeScan({}, [&](const IndexEntry&) {
-            ++n;
-            return Status::OK();
-          });
-        }
-      });
-    }
-    for (int w = 0; w < kWriters; ++w) threads[static_cast<size_t>(w)].join();
-    stop.store(true);
-    for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
-    EXPECT_EQ(write_errors.load(), 0);
-    ASSERT_TRUE(t.Flush().ok());
+    size_t n = 0;
+    ASSERT_TRUE(t.RangeScan({}, [&](const IndexEntry&) {
+                   ++n;
+                   return Status::OK();
+                 }).ok());
+    EXPECT_GT(n, 0u);
+    EXPECT_EQ(n, acked);
+    env::RemoveAll(dir);
   }
-  // Reopen and verify a stable read of everything that survived.
-  LsmBTree t(cache_.get(), dir_, "a", AsyncOpts(&sched, /*budget=*/4096));
-  ASSERT_TRUE(t.Open().ok());
-  size_t n = 0;
-  ASSERT_TRUE(t.RangeScan({}, [&](const IndexEntry&) {
-                 ++n;
-                 return Status::OK();
-               }).ok());
-  EXPECT_GT(n, 0u);
 }
 
 }  // namespace
