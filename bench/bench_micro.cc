@@ -182,7 +182,10 @@ BENCHMARK_F(LsmFixture, ShortRangeScan100)(benchmark::State& state) {
 }
 
 // Row vs column disk formats scanning the same messages with a narrow
-// projection: the columnar layout should touch far fewer bytes.
+// projection: the columnar layout should touch far fewer bytes. `col2`
+// holds the same rows as two column components with disjoint key ranges
+// (an ascending load flushed halfway), the layout scans stream without a
+// merge.
 class FormatFixture : public benchmark::Fixture {
  public:
   void SetUp(const benchmark::State&) override {
@@ -196,8 +199,10 @@ class FormatFixture : public benchmark::Fixture {
     co.format = storage::StorageFormat::kColumn;
     row = std::make_unique<storage::LsmBTree>(cache.get(), dir, "row", ro);
     col = std::make_unique<storage::LsmBTree>(cache.get(), dir, "col", co);
+    col2 = std::make_unique<storage::LsmBTree>(cache.get(), dir, "col2", co);
     (void)row->Open();
     (void)col->Open();
+    (void)col2->Open();
     workload::Generator gen;
     for (int64_t i = 0; i < 20000; ++i) {
       Value msg = gen.MakeMessage(i, 500);
@@ -207,9 +212,15 @@ class FormatFixture : public benchmark::Fixture {
       storage::CompositeKey key{Value::Int64(i)};
       (void)row->Upsert(key, buf, static_cast<uint64_t>(i));
       (void)col->Upsert(key, buf, static_cast<uint64_t>(i));
+      (void)col2->Upsert(key, buf, static_cast<uint64_t>(i));
+      if (i == 9999) (void)col2->Flush();
     }
     (void)row->Flush();
     (void)col->Flush();
+    (void)col2->Flush();
+    if (col->num_disk_components() != 1 || col2->num_disk_components() != 2) {
+      std::abort();
+    }
   }
   void TearDown(const benchmark::State&) override {}
 
@@ -238,14 +249,38 @@ class FormatFixture : public benchmark::Fixture {
     state.counters["pages_pruned"] = static_cast<double>(stats.pages_pruned);
   }
 
+  static void RunBatchScan(storage::LsmBTree* tree, benchmark::State& state) {
+    auto proj =
+        storage::column::Projection::Of({"message-id", "author-id"});
+    size_t n = 0;
+    for (auto _ : state) {
+      n = 0;
+      Status st = tree->BatchScan(
+          storage::ScanBounds{}, proj,
+          [&](const std::shared_ptr<storage::column::ColumnBatch>& batch) {
+            n += batch->sel.size();
+            return Status::OK();
+          },
+          nullptr);
+      if (!st.ok()) {
+        state.SkipWithError(st.ToString().c_str());
+        return;
+      }
+      benchmark::DoNotOptimize(n);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(n));
+  }
+
   static std::string dir;
   static std::unique_ptr<storage::BufferCache> cache;
-  static std::unique_ptr<storage::LsmBTree> row, col;
+  static std::unique_ptr<storage::LsmBTree> row, col, col2;
 };
 std::string FormatFixture::dir;
 std::unique_ptr<storage::BufferCache> FormatFixture::cache;
 std::unique_ptr<storage::LsmBTree> FormatFixture::row;
 std::unique_ptr<storage::LsmBTree> FormatFixture::col;
+std::unique_ptr<storage::LsmBTree> FormatFixture::col2;
 
 BENCHMARK_F(FormatFixture, ProjectedScanRowFormat)(benchmark::State& state) {
   RunProjectedScan(row.get(), state);
@@ -253,6 +288,20 @@ BENCHMARK_F(FormatFixture, ProjectedScanRowFormat)(benchmark::State& state) {
 
 BENCHMARK_F(FormatFixture, ProjectedScanColumnFormat)(benchmark::State& state) {
   RunProjectedScan(col.get(), state);
+}
+
+BENCHMARK_F(FormatFixture, ProjectedScanColumnTwoDisjointComponents)
+(benchmark::State& state) {
+  RunProjectedScan(col2.get(), state);
+}
+
+BENCHMARK_F(FormatFixture, BatchScanColumnFormat)(benchmark::State& state) {
+  RunBatchScan(col.get(), state);
+}
+
+BENCHMARK_F(FormatFixture, BatchScanColumnTwoDisjointComponents)
+(benchmark::State& state) {
+  RunBatchScan(col2.get(), state);
 }
 
 // Primary-key fetch from the column-format tree: one key per call decodes

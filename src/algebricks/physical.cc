@@ -394,7 +394,8 @@ bool PhysicalCompiler::HasSubplanExpr(const ExprPtr& e) {
 }
 
 Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileScan(
-    const LogicalOpPtr& op, JobSpec* job) {
+    const LogicalOpPtr& op, JobSpec* job,
+    std::shared_ptr<hyracks::JoinRuntimeFilter> filter) {
   storage::PartitionedDataset* ds = resolver_(op->dataset);
   if (!ds) return Status::NotFound("unknown dataset " + op->dataset);
   Stream s;
@@ -420,7 +421,8 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileScan(
 
   const AccessPath& ap = op->access_path;
   if (ap.kind == AccessPath::Kind::kNone) {
-    s.op_id = job->AddOperator(hyracks::MakeDatasetScan(ds, std::move(proj)));
+    s.op_id = job->AddOperator(
+        hyracks::MakeDatasetScan(ds, std::move(proj), std::move(filter)));
     s.schema[op->var] = 0;
     s.width = 1;
     return s;
@@ -436,8 +438,8 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileScan(
       bounds.hi = storage::CompositeKey{ap.hi->constant};
       bounds.hi_inclusive = ap.hi_inclusive;
     }
-    s.op_id = job->AddOperator(
-        hyracks::MakePrimaryRangeScan(ds, bounds, std::move(proj)));
+    s.op_id = job->AddOperator(hyracks::MakePrimaryRangeScan(
+        ds, bounds, std::move(proj), std::move(filter)));
     s.schema[op->var] = 0;
     s.width = 1;
     return s;
@@ -624,9 +626,27 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileJoin(
       build_side = 0;
     }
   }
+  // Runtime filter: when the probe input of an inner equijoin is a dataset
+  // scan feeding the join's partitioning connector directly, the build
+  // keys filter that scan — rows no build key can match never cross the
+  // exchange. A left-outer join's probe side is its preserved side, whose
+  // every row must reach the join, so it is never filtered.
+  const LogicalOpPtr& probe_plan = op->inputs[1 - build_side];
+  std::shared_ptr<hyracks::JoinRuntimeFilter> filter;
+  if (!equi.empty() && !op->left_outer &&
+      probe_plan->kind == LogicalOp::Kind::kDataSourceScan &&
+      (probe_plan->access_path.kind == AccessPath::Kind::kNone ||
+       probe_plan->access_path.kind == AccessPath::Kind::kPrimary)) {
+    filter = std::make_shared<hyracks::JoinRuntimeFilter>(P);
+  }
   Stream sides[2];
-  ASTERIX_ASSIGN_OR_RETURN(sides[0], CompileOp(op->inputs[0], job));
-  ASTERIX_ASSIGN_OR_RETURN(sides[1], CompileOp(op->inputs[1], job));
+  for (int i = 0; i < 2; ++i) {
+    if (filter != nullptr && i == 1 - build_side) {
+      ASTERIX_ASSIGN_OR_RETURN(sides[i], CompileScan(op->inputs[i], job, filter));
+    } else {
+      ASTERIX_ASSIGN_OR_RETURN(sides[i], CompileOp(op->inputs[i], job));
+    }
+  }
   const Stream& build = sides[build_side];
   const Stream& probe = sides[1 - build_side];
 
@@ -647,9 +667,10 @@ Result<PhysicalCompiler::Stream> PhysicalCompiler::CompileJoin(
       probe_keys.push_back(CompileExpr(build_side == 1 ? le : re, probe));
       build_keys.push_back(CompileExpr(build_side == 1 ? re : le, build));
     }
+    if (filter != nullptr) filter->SetProbeKeys(probe_keys);
     hyracks::OperatorDescriptor join = hyracks::MakeHybridHashJoin(
         P, build_keys, probe_keys, static_cast<size_t>(build.width),
-        op->left_outer);
+        op->left_outer, filter);
     // EXPLAIN names the hashed input and both estimates (build/probe).
     std::string build_vars;
     for (const auto& v : op->inputs[build_side]->OutVars()) {

@@ -54,7 +54,11 @@ class PhysicalCompiler {
   };
 
   Result<Stream> CompileOp(const LogicalOpPtr& op, hyracks::JobSpec* job);
-  Result<Stream> CompileScan(const LogicalOpPtr& op, hyracks::JobSpec* job);
+  /// `filter`: the runtime filter of the hash join this scan probes (plain
+  /// and primary-range scans only).
+  Result<Stream> CompileScan(
+      const LogicalOpPtr& op, hyracks::JobSpec* job,
+      std::shared_ptr<hyracks::JoinRuntimeFilter> filter = nullptr);
   Result<Stream> CompileJoin(const LogicalOpPtr& op, hyracks::JobSpec* job);
   Result<Stream> CompileGroupBy(const LogicalOpPtr& op, hyracks::JobSpec* job);
 

@@ -44,6 +44,12 @@ inline metrics::Histogram* QueueDepthHistogram() {
 /// can be converted incrementally; the two may be mixed freely on the same
 /// endpoint — NextFrame() first drains any tuples the shim still holds.
 ///
+/// A consumed frame is not destroyed by the consumer: the next pull hands
+/// it back through ReturnFrame(), and a channel that supports it frees the
+/// frame on the thread of the producer that filled it. Tuples are mostly
+/// allocated by the producer, and freeing them on the consumer's thread
+/// would contend with the producer on its allocator arena.
+///
 /// Endpoints are consumed by exactly one operator-instance thread, so the
 /// shim cursor needs no synchronization (only PullFrame touches shared
 /// producer state).
@@ -57,18 +63,22 @@ class InChannel {
   /// future frames are dropped and producers blocked on a full channel are
   /// released, so job teardown can never deadlock on backpressure.
   virtual void CancelConsumer() = 0;
+  /// Takes back a frame the consumer is done with. The default frees it
+  /// here, on the consumer's thread.
+  virtual void ReturnFrame(Frame /*frame*/) {}
 
-  /// Blocking pull of the next frame. Returns false at end-of-stream; a
-  /// failed stream surfaces its status.
+  /// Blocking pull of the next frame. The frame `*out` held from the
+  /// previous pull is returned to the channel first. Returns false at
+  /// end-of-stream; a failed stream surfaces its status.
   Result<bool> NextFrame(Frame* out) {
-    out->tuples.clear();
-    out->batch.reset();
+    GiveBack(out);
     if (pos_ < pending_.tuples.size()) {
       out->tuples.insert(out->tuples.end(),
                          std::make_move_iterator(pending_.tuples.begin() +
                                                  static_cast<std::ptrdiff_t>(pos_)),
                          std::make_move_iterator(pending_.tuples.end()));
-      pending_.tuples.clear();
+      out->producer = pending_.producer;
+      GiveBack(&pending_);
       pos_ = 0;
       return true;
     }
@@ -81,8 +91,7 @@ class InChannel {
   /// every selected row.
   Result<bool> Next(Tuple* out) {
     if (pos_ >= pending_.tuples.size()) {
-      pending_.tuples.clear();
-      pending_.batch.reset();
+      GiveBack(&pending_);
       pos_ = 0;
       auto r = PullFrame(&pending_);
       if (!r.ok() || !r.value()) return r;
@@ -91,7 +100,6 @@ class InChannel {
         for (uint32_t row : pending_.batch->sel.rows) {
           pending_.tuples.push_back({pending_.batch->MaterializeRow(row)});
         }
-        pending_.batch.reset();
         if (pending_.tuples.empty()) return Next(out);
       }
     }
@@ -106,6 +114,15 @@ class InChannel {
   virtual Result<bool> PullFrame(Frame* out) = 0;
 
  private:
+  /// Hands a consumed frame back through ReturnFrame() and leaves `*frame`
+  /// empty.
+  void GiveBack(Frame* frame) {
+    if (!frame->tuples.empty() || frame->batch != nullptr) {
+      ReturnFrame(std::move(*frame));
+    }
+    *frame = Frame{};
+  }
+
   Frame pending_;  // shim cursor for Next()
   size_t pos_ = 0;
 };
@@ -118,18 +135,26 @@ class InChannel {
 class FifoChannel : public InChannel {
  public:
   explicit FifoChannel(int num_producers, size_t capacity_frames = 0)
-      : open_producers_(num_producers), capacity_(capacity_frames) {}
+      : open_producers_(num_producers),
+        capacity_(capacity_frames),
+        returned_(static_cast<size_t>(num_producers)) {}
 
+  /// Also frees, after releasing the lock, the frames the consumer returned
+  /// since this producer's previous push — on the thread that filled them.
   void Push(int producer, Frame frame) override {
-    (void)producer;
     if (frame.tuples.empty() && frame.batch == nullptr) return;
-    std::unique_lock<std::mutex> lock(mu_);
-    WaitForSpace(lock, [&] { return frames_.size() < capacity_; });
-    if (!status_.ok() || cancelled_) return;  // dropped; consumer is gone
-    frames_.push_back(std::move(frame));
-    QueuedFramesGauge()->Add(1);
-    QueueDepthHistogram()->Observe(frames_.size());
-    data_cv_.notify_one();
+    std::vector<Frame> done;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      WaitForSpace(lock, [&] { return frames_.size() < capacity_; });
+      TakeReturnedLocked(producer, &done);
+      if (!status_.ok() || cancelled_) return;  // dropped; consumer is gone
+      frame.producer = producer;
+      frames_.push_back(std::move(frame));
+      QueuedFramesGauge()->Add(1);
+      QueueDepthHistogram()->Observe(frames_.size());
+      data_cv_.notify_one();
+    }
   }
 
   void ProducerDone(int) override {
@@ -139,24 +164,54 @@ class FifoChannel : public InChannel {
   }
 
   void Fail(Status status) override {
+    std::vector<Frame> done;
     std::lock_guard<std::mutex> lock(mu_);
     if (status_.ok()) status_ = std::move(status);
+    TakeAllReturnedLocked(&done);
     data_cv_.notify_all();
     space_cv_.notify_all();
   }
 
   void CancelConsumer() override {
+    std::deque<Frame> queued;
+    std::vector<Frame> done;
     std::lock_guard<std::mutex> lock(mu_);
     cancelled_ = true;
     QueuedFramesGauge()->Add(-static_cast<int64_t>(frames_.size()));
-    frames_.clear();
+    queued.swap(frames_);
+    TakeAllReturnedLocked(&done);
     space_cv_.notify_all();
+  }
+
+  /// Keeps the frame for its producer's next Push. At most
+  /// `capacity_frames` + 1 returned frames wait — a full queue plus the
+  /// frame the consumer held, all one producer can have outstanding between
+  /// two pushes; past that (and on unbounded channels) the consumer frees
+  /// the frame. Frames returned after a producer's last push are freed with
+  /// the channel.
+  void ReturnFrame(Frame frame) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (frame.producer < 0 ||
+        static_cast<size_t>(frame.producer) >= returned_.size() ||
+        capacity_ == 0 || num_returned_ > capacity_ || !status_.ok() ||
+        cancelled_) {
+      return;  // `frame` is freed here, after the lock is released
+    }
+    returned_[static_cast<size_t>(frame.producer)].push_back(std::move(frame));
+    ++num_returned_;
   }
 
   /// Frames currently queued (tests / diagnostics).
   size_t queued_frames() const {
     std::lock_guard<std::mutex> lock(mu_);
     return frames_.size();
+  }
+
+  /// Consumed frames waiting for their producer to free them (tests /
+  /// diagnostics).
+  size_t returned_frames() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return num_returned_;
   }
 
  protected:
@@ -177,6 +232,23 @@ class FifoChannel : public InChannel {
   }
 
  private:
+  void TakeReturnedLocked(int producer, std::vector<Frame>* out) {
+    if (producer < 0 || static_cast<size_t>(producer) >= returned_.size()) {
+      return;
+    }
+    std::vector<Frame>& mine = returned_[static_cast<size_t>(producer)];
+    num_returned_ -= mine.size();
+    out->swap(mine);
+  }
+
+  void TakeAllReturnedLocked(std::vector<Frame>* out) {
+    for (std::vector<Frame>& frames : returned_) {
+      for (Frame& f : frames) out->push_back(std::move(f));
+      frames.clear();
+    }
+    num_returned_ = 0;
+  }
+
   template <typename HasSpace>
   void WaitForSpace(std::unique_lock<std::mutex>& lock, HasSpace has_space) {
     if (capacity_ == 0) return;
@@ -202,6 +274,9 @@ class FifoChannel : public InChannel {
   size_t capacity_;
   bool cancelled_ = false;
   Status status_;
+  /// Consumed frames per producer, freed by that producer's next Push.
+  std::vector<std::vector<Frame>> returned_;
+  size_t num_returned_ = 0;
 };
 
 /// Sorted-merge channel (the MToNPartitioningMerging connector): each
@@ -377,6 +452,7 @@ class CountingChannel : public InChannel {
   void ProducerDone(int producer) override { inner_->ProducerDone(producer); }
   void Fail(Status status) override { inner_->Fail(std::move(status)); }
   void CancelConsumer() override { inner_->CancelConsumer(); }
+  void ReturnFrame(Frame frame) override { inner_->ReturnFrame(std::move(frame)); }
 
  protected:
   Result<bool> PullFrame(Frame* out) override {

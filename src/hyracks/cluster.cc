@@ -101,6 +101,10 @@ class RoutingEmitter : public Emitter {
 
   void AddKernelTime(uint64_t us) override { span_->kernel_us += us; }
 
+  void AddInputWait(uint64_t us) override { span_->input_wait_us += us; }
+
+  void AddFilteredRows(uint64_t rows) override { span_->filtered_rows += rows; }
+
   /// The vectorized path: a 1:1-only route forwards the batch itself as a
   /// frame; any other topology needs per-tuple routing, so fall back to the
   /// base materializer (which calls Push per selected row).

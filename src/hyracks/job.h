@@ -47,6 +47,12 @@ class Emitter {
                              uint64_t /*rows_total*/) {}
   /// Microseconds spent inside vectorized kernels (filter/aggregate loops).
   virtual void AddKernelTime(uint64_t /*us*/) {}
+  /// Wall time a source operator spent waiting for its input to be ready
+  /// (a scan waiting on a hash join's runtime filter) — input wait, like a
+  /// channel pull.
+  virtual void AddInputWait(uint64_t /*us*/) {}
+  /// Rows a scan dropped through a runtime filter.
+  virtual void AddFilteredRows(uint64_t /*rows*/) {}
 };
 
 /// A per-partition runtime instance of an operator. `inputs[p]` is the

@@ -256,17 +256,21 @@ class GraceHashJoin {
  public:
   GraceHashJoin(const std::vector<TupleEval>* build_keys,
                 const std::vector<TupleEval>* probe_keys, size_t build_arity,
-                bool left_outer, Emitter* out)
+                bool left_outer, JoinRuntimeFilter* filter, Emitter* out)
       : build_keys_(build_keys),
         probe_keys_(probe_keys),
         build_arity_(build_arity),
         left_outer_(left_outer),
+        filter_(filter),
         ctx_(out, "join-spill") {}
 
   Status Execute(const TupleSource& build, const TupleSource& probe,
                  int depth);
 
   void Report() { ctx_.Report(); }
+
+  /// Whether this instance's build keys reached the runtime filter.
+  bool published() const { return published_; }
 
  private:
   struct Partition {
@@ -313,6 +317,8 @@ class GraceHashJoin {
   const std::vector<TupleEval>* probe_keys_;
   size_t build_arity_;
   bool left_outer_;
+  JoinRuntimeFilter* filter_;  // null: no probe-side scan to filter
+  bool published_ = false;
   SpillContext ctx_;
 };
 
@@ -321,6 +327,10 @@ Status GraceHashJoin::Execute(const TupleSource& build,
   const bool can_spill = ctx_.budget != nullptr && depth < kMaxSpillDepth;
   std::vector<Partition> parts(kSpillFanout);
   BytesWriter key;
+  // The top level sees every build key, spilled or not: those are the keys
+  // the runtime filter publishes.
+  const bool publish = filter_ != nullptr && depth == 0;
+  std::vector<uint64_t> build_hashes;
 
   // Build: partition, insert resident, divert to runs once spilled.
   ASTERIX_RETURN_NOT_OK(build([&](Tuple& t) -> Status {
@@ -329,6 +339,7 @@ Status GraceHashJoin::Execute(const TupleSource& build,
     ASTERIX_RETURN_NOT_OK(SerializeKeyOf(*build_keys_, t, &key, &unknown));
     if (unknown) return Status::OK();  // unknown keys never join
     uint64_t h = Hash64(key.data().data(), key.size());
+    if (publish) build_hashes.push_back(h);
     Partition& p = parts[SpillPartitionOf(h, depth)];
     if (p.spilled) return p.build_run->AppendTuple(t);
     size_t table_before = p.table.bytes();
@@ -352,6 +363,10 @@ Status GraceHashJoin::Execute(const TupleSource& build,
   }));
   for (const Partition& p : parts) {
     if (!p.spilled) ctx_.hash_build_bytes += p.charged;
+  }
+  if (publish) {
+    filter_->Publish(std::move(build_hashes));
+    published_ = true;
   }
 
   // Probe: resident partitions stream matches; spilled ones buffer probes.
@@ -422,7 +437,104 @@ Status GraceHashJoin::Execute(const TupleSource& build,
   return Status::OK();
 }
 
+/// The scan operators' shared body: instance p scans storage partition p
+/// within `bounds`, emitting [record] tuples, behind the runtime filter
+/// when there is one.
+OperatorDescriptor MakeScan(std::string name,
+                            storage::PartitionedDataset* dataset,
+                            storage::ScanBounds bounds,
+                            storage::column::Projection projection,
+                            std::shared_ptr<JoinRuntimeFilter> filter) {
+  OperatorDescriptor op;
+  op.name = std::move(name);
+  std::string ptag = projection.ToString();
+  if (!ptag.empty()) op.name += " " + ptag;
+  if (filter != nullptr) op.name += " runtime-filter";
+  op.parallelism = static_cast<int>(dataset->num_partitions());
+  op.num_inputs = 0;
+  auto shared = std::make_shared<storage::ScanBounds>(std::move(bounds));
+  auto proj = std::make_shared<storage::column::Projection>(std::move(projection));
+  op.factory = Lambda([dataset, shared, proj, filter](
+                          int p, const std::vector<InChannel*>&, Emitter* out) {
+    if (filter != nullptr) {
+      // Before the LSM scan opens: no tree lock is held while waiting.
+      auto t0 = std::chrono::steady_clock::now();
+      filter->Wait();
+      out->AddInputWait(ElapsedUs(t0));
+    }
+    storage::column::ProjectedScanStats stats;
+    uint64_t dropped = 0;
+    BytesWriter key;
+    Tuple t;  // a dropped row leaves its allocation for the next one
+    Status st = dataset->partition(static_cast<uint32_t>(p))
+                    ->ProjectedScan(*shared, *proj,
+                                    [&](const Value& rec) -> Status {
+                                      t.assign(1, rec);
+                                      if (filter != nullptr) {
+                                        ASTERIX_ASSIGN_OR_RETURN(
+                                            bool keep, filter->MayMatch(t, &key));
+                                        if (!keep) {
+                                          ++dropped;
+                                          return Status::OK();
+                                        }
+                                      }
+                                      out->Push(std::move(t));
+                                      return Status::OK();
+                                    },
+                                    &stats);
+    out->AddBytesRead(stats.bytes_read);
+    if (dropped > 0) out->AddFilteredRows(dropped);
+    return st;
+  });
+  return op;
+}
+
 }  // namespace
+
+JoinRuntimeFilter::JoinRuntimeFilter(int num_builders)
+    : pending_(num_builders) {}
+
+void JoinRuntimeFilter::SetProbeKeys(std::vector<TupleEval> probe_keys) {
+  probe_keys_ = std::move(probe_keys);
+}
+
+void JoinRuntimeFilter::Publish(std::vector<uint64_t> key_hashes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ready_) return;
+  hashes_.insert(hashes_.end(), key_hashes.begin(), key_hashes.end());
+  if (--pending_ > 0) return;
+  // Duplicate build keys would only oversize the filter.
+  std::sort(hashes_.begin(), hashes_.end());
+  hashes_.erase(std::unique(hashes_.begin(), hashes_.end()), hashes_.end());
+  bloom_ = storage::BloomFilter::Build(hashes_);
+  std::vector<uint64_t>().swap(hashes_);
+  ready_ = true;
+  ready_cv_.notify_all();
+}
+
+void JoinRuntimeFilter::PassAll() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (ready_) return;  // built already, or already passing all
+  pass_all_ = true;
+  ready_ = true;
+  std::vector<uint64_t>().swap(hashes_);
+  ready_cv_.notify_all();
+}
+
+void JoinRuntimeFilter::Wait() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  ready_cv_.wait(lock, [&] { return ready_; });
+}
+
+Result<bool> JoinRuntimeFilter::MayMatch(const Tuple& t,
+                                         BytesWriter* scratch) const {
+  if (pass_all_) return true;
+  scratch->Clear();
+  bool unknown = false;
+  ASTERIX_RETURN_NOT_OK(SerializeKeyOf(probe_keys_, t, scratch, &unknown));
+  if (unknown) return false;
+  return bloom_.MayContain(Hash64(scratch->data().data(), scratch->size()));
+}
 
 std::function<uint64_t(const Tuple&)> HashOnColumns(std::vector<int> columns) {
   return [columns = std::move(columns)](const Tuple& t) {
@@ -470,59 +582,22 @@ OperatorDescriptor MakeUnion(int parallelism, int num_inputs) {
 }
 
 OperatorDescriptor MakeDatasetScan(storage::PartitionedDataset* dataset,
-                                   storage::column::Projection projection) {
-  OperatorDescriptor op;
+                                   storage::column::Projection projection,
+                                   std::shared_ptr<JoinRuntimeFilter> filter) {
   bool columnar =
       dataset->def().storage_format == storage::StorageFormat::kColumn;
-  op.name = std::string(columnar ? "column-scan(" : "scan(") +
-            dataset->def().name + ")";
-  std::string ptag = projection.ToString();
-  if (!ptag.empty()) op.name += " " + ptag;
-  op.parallelism = static_cast<int>(dataset->num_partitions());
-  op.num_inputs = 0;
-  auto proj = std::make_shared<storage::column::Projection>(std::move(projection));
-  op.factory = Lambda([dataset, proj](int p, const std::vector<InChannel*>&,
-                                      Emitter* out) {
-    storage::column::ProjectedScanStats stats;
-    Status st = dataset->partition(static_cast<uint32_t>(p))
-                    ->ProjectedScan(storage::ScanBounds{}, *proj,
-                                    [&](const Value& rec) {
-                                      out->Push({rec});
-                                      return Status::OK();
-                                    },
-                                    &stats);
-    out->AddBytesRead(stats.bytes_read);
-    return st;
-  });
-  return op;
+  return MakeScan(std::string(columnar ? "column-scan(" : "scan(") +
+                      dataset->def().name + ")",
+                  dataset, storage::ScanBounds{}, std::move(projection),
+                  std::move(filter));
 }
 
 OperatorDescriptor MakePrimaryRangeScan(storage::PartitionedDataset* dataset,
                                         storage::ScanBounds bounds,
-                                        storage::column::Projection projection) {
-  OperatorDescriptor op;
-  op.name = "btree-range-scan(" + dataset->def().name + ")";
-  std::string ptag = projection.ToString();
-  if (!ptag.empty()) op.name += " " + ptag;
-  op.parallelism = static_cast<int>(dataset->num_partitions());
-  op.num_inputs = 0;
-  auto shared = std::make_shared<storage::ScanBounds>(std::move(bounds));
-  auto proj = std::make_shared<storage::column::Projection>(std::move(projection));
-  op.factory = Lambda([dataset, shared, proj](int p,
-                                              const std::vector<InChannel*>&,
-                                              Emitter* out) {
-    storage::column::ProjectedScanStats stats;
-    Status st = dataset->partition(static_cast<uint32_t>(p))
-                    ->ProjectedScan(*shared, *proj,
-                                    [&](const Value& rec) {
-                                      out->Push({rec});
-                                      return Status::OK();
-                                    },
-                                    &stats);
-    out->AddBytesRead(stats.bytes_read);
-    return st;
-  });
-  return op;
+                                        storage::column::Projection projection,
+                                        std::shared_ptr<JoinRuntimeFilter> filter) {
+  return MakeScan("btree-range-scan(" + dataset->def().name + ")", dataset,
+                  std::move(bounds), std::move(projection), std::move(filter));
 }
 
 OperatorDescriptor MakePrimarySearch(storage::PartitionedDataset* dataset,
@@ -914,22 +989,25 @@ OperatorDescriptor MakeSort(int parallelism, TupleCompare compare,
   return op;
 }
 
-OperatorDescriptor MakeHybridHashJoin(int parallelism,
-                                      std::vector<TupleEval> build_keys,
-                                      std::vector<TupleEval> probe_keys,
-                                      size_t build_arity, bool left_outer) {
+OperatorDescriptor MakeHybridHashJoin(
+    int parallelism, std::vector<TupleEval> build_keys,
+    std::vector<TupleEval> probe_keys, size_t build_arity, bool left_outer,
+    std::shared_ptr<JoinRuntimeFilter> filter) {
   OperatorDescriptor op;
   op.name = "hybrid-hash-join";
   op.parallelism = parallelism;
   op.num_inputs = 2;
   op.blocking_ports = {0};  // Join Build activity blocks before probing
   op.memory_intensive = true;
-  op.factory = Lambda([build_keys, probe_keys, build_arity, left_outer](
+  op.factory = Lambda([build_keys, probe_keys, build_arity, left_outer, filter](
                           int, const std::vector<InChannel*>& in,
                           Emitter* out) {
-    GraceHashJoin join(&build_keys, &probe_keys, build_arity, left_outer, out);
+    GraceHashJoin join(&build_keys, &probe_keys, build_arity, left_outer,
+                       filter.get(), out);
     Status st =
         join.Execute(ChannelSource(in[0]), ChannelSource(in[1]), /*depth=*/0);
+    // A failed build never publishes: release the scan unfiltered.
+    if (filter != nullptr && !join.published()) filter->PassAll();
     join.Report();
     return st;
   });

@@ -1,13 +1,17 @@
 #ifndef ASTERIX_HYRACKS_OPERATORS_H_
 #define ASTERIX_HYRACKS_OPERATORS_H_
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "hyracks/job.h"
 #include "hyracks/vector/kernels.h"
+#include "storage/bloom.h"
 #include "storage/dataset_store.h"
 
 namespace asterix {
@@ -24,6 +28,47 @@ enum class AggMode {
   kComplete,  // one-shot aggregation
   kLocal,     // emit partial state records
   kGlobal,    // combine partial state records into finals
+};
+
+/// Runtime filter from an inner hash join's build keys to its probe-side
+/// dataset scan. Each of the join's `num_builders` instances publishes the
+/// hashes of its build keys — Hash64 of the same normalized key bytes the
+/// join hashes, collected before any spill partitioning — once its build
+/// input is drained. The last publication builds one BloomFilter and
+/// releases the scan instances, which wait in Wait() before they open
+/// their LSM scans and then drop every resolved row whose probe key is
+/// unknown or misses the filter. A join instance that ends without
+/// publishing (error, cancellation) calls PassAll(), so a scan never waits
+/// for a build that will not come. One filter serves one execution of the
+/// job it was compiled into.
+class JoinRuntimeFilter {
+ public:
+  explicit JoinRuntimeFilter(int num_builders);
+
+  /// The join's probe-key expressions, evaluated on the scan's output
+  /// tuple. Set once, before the job runs.
+  void SetProbeKeys(std::vector<TupleEval> probe_keys);
+
+  /// One join instance's build-key hashes.
+  void Publish(std::vector<uint64_t> key_hashes);
+  /// Releases the scans with a filter that passes every row.
+  void PassAll();
+
+  /// Blocks until every join instance has published, or one passed all.
+  void Wait() const;
+  /// After Wait(): false when `t`'s probe key is unknown or cannot match a
+  /// build key. `scratch` holds the serialized key.
+  Result<bool> MayMatch(const Tuple& t, BytesWriter* scratch) const;
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable ready_cv_;
+  int pending_;
+  bool ready_ = false;
+  bool pass_all_ = false;
+  std::vector<uint64_t> hashes_;
+  storage::BloomFilter bloom_ = storage::BloomFilter::Build({});
+  std::vector<TupleEval> probe_keys_;
 };
 
 // ---------------------------------------------------------------------------
@@ -45,15 +90,20 @@ OperatorDescriptor MakeUnion(int parallelism, int num_inputs);
 /// skipping for range predicates); on row datasets the whole record is read
 /// and trimmed. Physical bytes read are reported to the emitter for
 /// EXPLAIN ANALYZE.
+/// With `filter`, the scan is the probe input of the join that feeds it:
+/// it waits for the join's build keys before opening the LSM scan and drops
+/// rows no build key can match (EXPLAIN tag `runtime-filter`).
 OperatorDescriptor MakeDatasetScan(
     storage::PartitionedDataset* dataset,
-    storage::column::Projection projection = storage::column::Projection::All());
+    storage::column::Projection projection = storage::column::Projection::All(),
+    std::shared_ptr<JoinRuntimeFilter> filter = nullptr);
 
 /// Primary-index range scan with constant bounds; emits [record]. See
-/// MakeDatasetScan for projection semantics.
+/// MakeDatasetScan for projection and filter semantics.
 OperatorDescriptor MakePrimaryRangeScan(
     storage::PartitionedDataset* dataset, storage::ScanBounds bounds,
-    storage::column::Projection projection = storage::column::Projection::All());
+    storage::column::Projection projection = storage::column::Projection::All(),
+    std::shared_ptr<JoinRuntimeFilter> filter = nullptr);
 
 /// Primary-index point lookups driven by input tuples: `key_columns` name
 /// the input columns holding the primary key; each match emits
@@ -114,10 +164,12 @@ OperatorDescriptor MakeSort(int parallelism, TupleCompare compare,
 /// Build tuples go into per-hash-partition open-addressing tables keyed by
 /// serialized normalized key bytes; when the instance's MemoryBudget trips,
 /// whole partitions spill to scratch runs and are joined recursively.
-OperatorDescriptor MakeHybridHashJoin(int parallelism,
-                                      std::vector<TupleEval> build_keys,
-                                      std::vector<TupleEval> probe_keys,
-                                      size_t build_arity, bool left_outer);
+/// With `filter` (inner joins only), every instance publishes its build
+/// keys to the probe-side scan before probing.
+OperatorDescriptor MakeHybridHashJoin(
+    int parallelism, std::vector<TupleEval> build_keys,
+    std::vector<TupleEval> probe_keys, size_t build_arity, bool left_outer,
+    std::shared_ptr<JoinRuntimeFilter> filter = nullptr);
 
 /// Nested-loop join: port 0 buffered, port 1 streamed, predicate over the
 /// concatenated tuple (build columns first). Budgeted: build tuples past

@@ -55,6 +55,7 @@ std::vector<OperatorRollup> JobProfile::Rollup() const {
     r.vec_rows_selected += s.vec_rows_selected;
     r.vec_rows_total += s.vec_rows_total;
     r.kernel_us += s.kernel_us;
+    r.filtered_rows += s.filtered_rows;
     r.cpu_us += s.cpu_us;
     r.elapsed_ms = std::max(r.elapsed_ms, s.elapsed_ms());
   }
@@ -110,6 +111,7 @@ std::string JobProfile::ToJson() const {
            ", \"batches\": " + std::to_string(r.batches) +
            ", \"selected_ratio\": " + FmtMs(r.selected_ratio()) +
            ", \"kernel_us\": " + std::to_string(r.kernel_us) +
+           ", \"filtered_rows\": " + std::to_string(r.filtered_rows) +
            ", \"cpu_us\": " + std::to_string(r.cpu_us) +
            ", \"elapsed_ms\": " + FmtMs(r.elapsed_ms) + " }";
   }
@@ -136,6 +138,7 @@ std::string JobProfile::ToJson() const {
            ", \"batches\": " + std::to_string(s.batches) +
            ", \"selected_ratio\": " + FmtMs(s.selected_ratio()) +
            ", \"kernel_us\": " + std::to_string(s.kernel_us) +
+           ", \"filtered_rows\": " + std::to_string(s.filtered_rows) +
            ", \"cpu_us\": " + std::to_string(s.cpu_us) +
            ", \"ok\": " + (s.ok ? "true" : "false") + " }";
   }
@@ -217,7 +220,8 @@ std::string JobProfile::ToChromeTrace() const {
            ", \"spilled_partitions\": " + std::to_string(s.spilled_partitions) +
            ", \"hash_build_bytes\": " + std::to_string(s.hash_build_bytes) +
            ", \"batches\": " + std::to_string(s.batches) +
-           ", \"kernel_us\": " + std::to_string(s.kernel_us) + " } }";
+           ", \"kernel_us\": " + std::to_string(s.kernel_us) +
+           ", \"filtered_rows\": " + std::to_string(s.filtered_rows) + " } }";
   }
   out += " ] }";
   return out;
@@ -305,6 +309,9 @@ std::string AnnotatePlan(const JobSpec& job, const JobProfile& profile) {
         out += ", batches=" + std::to_string(r.batches) +
                ", selected=" + pct +
                ", kernel_us=" + std::to_string(r.kernel_us);
+      }
+      if (r.filtered_rows > 0) {
+        out += ", filtered_rows=" + std::to_string(r.filtered_rows);
       }
       if (r.spilled_partitions > 0 || r.spill_bytes > 0) {
         out += ", spill_bytes=" + std::to_string(r.spill_bytes) +

@@ -50,6 +50,9 @@ struct OperatorSpan {
   uint64_t vec_rows_total = 0;
   /// Microseconds inside vectorized kernels (filter/aggregate tight loops).
   uint64_t kernel_us = 0;
+  /// Rows a scan dropped because a hash join's runtime filter proved they
+  /// cannot match any build key.
+  uint64_t filtered_rows = 0;
   /// Thread CPU time (CLOCK_THREAD_CPUTIME_ID) consumed by this instance's
   /// Run() — actual compute, as opposed to the wall-clock span, which also
   /// contains input/output waits.
@@ -94,6 +97,7 @@ struct OperatorRollup {
   uint64_t vec_rows_selected = 0;
   uint64_t vec_rows_total = 0;
   uint64_t kernel_us = 0;
+  uint64_t filtered_rows = 0;
   uint64_t cpu_us = 0;
   double elapsed_ms = 0;  // max instance span (critical-path view)
 

@@ -30,6 +30,10 @@ using TupleCompare = std::function<int(const Tuple&, const Tuple&)>;
 struct Frame {
   std::vector<Tuple> tuples;
   std::shared_ptr<storage::column::ColumnBatch> batch;
+  /// Index of the producer instance that pushed the frame (set by the
+  /// channel), so a consumed frame can go back to that producer's thread to
+  /// be freed.
+  int producer = -1;
 };
 
 constexpr size_t kDefaultFrameTuples = 256;

@@ -478,17 +478,21 @@ ColumnComponentReader::~ColumnComponentReader() {
 }
 
 Status ColumnComponentReader::FetchPage(const ColumnDesc::Page& pg,
-                                        std::vector<uint8_t>* raw) const {
-  std::vector<uint8_t> stored;
-  ASTERIX_RETURN_NOT_OK(
-      cache_->ReadRange(file_, pg.offset, pg.stored_size, &stored));
-  if (stored.empty()) return Status::Corruption("empty column page");
-  switch (stored[0]) {
+                                        std::vector<uint8_t>* buf,
+                                        std::span<const uint8_t>* page) const {
+  ASTERIX_RETURN_NOT_OK(cache_->ReadRange(file_, pg.offset, pg.stored_size, buf));
+  if (buf->empty()) return Status::Corruption("empty column page");
+  switch ((*buf)[0]) {
     case kCodecRaw:
-      raw->assign(stored.begin() + 1, stored.end());
+      *page = std::span<const uint8_t>(buf->data() + 1, buf->size() - 1);
       return Status::OK();
-    case kCodecLz:
-      return LzDecompress(stored.data() + 1, stored.size() - 1, raw);
+    case kCodecLz: {
+      std::vector<uint8_t> raw;
+      ASTERIX_RETURN_NOT_OK(LzDecompress(buf->data() + 1, buf->size() - 1, &raw));
+      *buf = std::move(raw);
+      *page = std::span<const uint8_t>(*buf);
+      return Status::OK();
+    }
     default:
       return Status::Corruption("unknown column page codec");
   }
@@ -498,9 +502,10 @@ Status ColumnComponentReader::DecodeGroup(size_t col_idx, size_t group,
                                           DecodedColumn* out) const {
   const ColumnDesc& col = cols_[col_idx];
   const ColumnDesc::Page& pg = col.pages[group];
-  std::vector<uint8_t> raw;
-  ASTERIX_RETURN_NOT_OK(FetchPage(pg, &raw));
-  BytesReader r(raw);
+  std::vector<uint8_t> buf;
+  std::span<const uint8_t> page;
+  ASTERIX_RETURN_NOT_OK(FetchPage(pg, &buf, &page));
+  BytesReader r(page.data(), page.size());
   if (col.kind == ColumnDesc::Kind::kCatchAll) {
     out->catchall.resize(pg.row_count);
     for (uint32_t i = 0; i < pg.row_count; ++i) {
@@ -636,7 +641,7 @@ void ColumnComponentReader::BoundRows(const ScanBounds& bounds, size_t* r0,
 
 bool ColumnComponentReader::GroupPrunable(
     size_t g, const Projection& proj, size_t lo, size_t hi,
-    const std::vector<KeyInterval>* exclusions) const {
+    std::span<const KeyInterval> exclusions) const {
   bool prune = false;
   for (const FieldRange& range : proj.ranges) {
     const ColumnDesc* col = nullptr;
@@ -682,10 +687,10 @@ bool ColumnComponentReader::GroupPrunable(
   // component's stale version of one of its keys win the merge — only
   // prune when the group's key span is disjoint from every other
   // component's interval.
-  if (exclusions != nullptr && lo < hi) {
+  if (lo < hi) {
     const CompositeKey& glo = keys_[lo].first;
     const CompositeKey& ghi = keys_[hi - 1].first;
-    for (const KeyInterval& e : *exclusions) {
+    for (const KeyInterval& e : exclusions) {
       if (CompareKeys(glo, e.hi) <= 0 && CompareKeys(e.lo, ghi) <= 0) {
         return false;
       }
@@ -694,12 +699,10 @@ bool ColumnComponentReader::GroupPrunable(
   return true;
 }
 
-Status ColumnComponentReader::ScanImpl(const ScanBounds& bounds,
-                                       const Projection& proj,
-                                       bool allow_pruning,
-                                       const std::vector<KeyInterval>* exclusions,
-                                       const ProjectedEntryCallback& cb,
-                                       ProjectedScanStats* stats) const {
+Status ColumnComponentReader::ProjectedScan(
+    const ScanBounds& bounds, const Projection& proj,
+    std::span<const KeyInterval> exclusions, const ProjectedEntryCallback& cb,
+    ProjectedScanStats* stats) const {
   ProjectedScanStats local;
   uint64_t groups_pruned = 0;
   size_t r0 = 0, r1 = keys_.size();
@@ -738,7 +741,7 @@ Status ColumnComponentReader::ScanImpl(const ScanBounds& bounds,
     }
     size_t lo = std::max(r0, g * kRowsPerGroup);
     size_t hi = std::min<size_t>(r1, (g + 1) * kRowsPerGroup);
-    if (allow_pruning && GroupPrunable(g, proj, lo, hi, exclusions)) {
+    if (GroupPrunable(g, proj, lo, hi, exclusions)) {
       ++groups_pruned;
       local.pages_pruned += needed_pages;
       local.bytes_skipped += group_bytes + avg_key_bytes * (hi - lo);
@@ -778,22 +781,6 @@ Status ColumnComponentReader::ScanImpl(const ScanBounds& bounds,
   return cb_status;
 }
 
-Status ColumnComponentReader::ProjectedScan(const ScanBounds& bounds,
-                                            const Projection& proj,
-                                            bool allow_pruning,
-                                            const ProjectedEntryCallback& cb,
-                                            ProjectedScanStats* stats) const {
-  return ScanImpl(bounds, proj, allow_pruning, nullptr, cb, stats);
-}
-
-Status ColumnComponentReader::ProjectedScanPruned(
-    const ScanBounds& bounds, const Projection& proj,
-    const std::vector<KeyInterval>& exclusions,
-    const ProjectedEntryCallback& cb, ProjectedScanStats* stats) const {
-  return ScanImpl(bounds, proj, /*allow_pruning=*/true, &exclusions, cb,
-                  stats);
-}
-
 bool ColumnComponentReader::KeyRange(CompositeKey* lo, CompositeKey* hi) const {
   if (keys_.empty()) return false;
   *lo = keys_.front().first;
@@ -801,30 +788,41 @@ bool ColumnComponentReader::KeyRange(CompositeKey* lo, CompositeKey* hi) const {
   return true;
 }
 
-Status ColumnComponentReader::BatchScan(const ScanBounds& bounds,
-                                        const Projection& proj,
-                                        const std::vector<KeyInterval>* exclusions,
-                                        const BatchCallback& cb,
-                                        ProjectedScanStats* stats) const {
+Status ColumnComponentReader::BatchColumns(const Projection& proj,
+                                           std::vector<int>* field_col) const {
   if (proj.all_fields) {
     return Status::NotImplemented("batch scan requires an explicit projection");
   }
   // Every projected field must resolve to a dedicated column (or be
   // provably absent under a closed schema): a field that may hide in the
   // catch-all cannot be decoded as one typed lane.
-  std::vector<int> field_col(proj.fields.size(), -1);
+  field_col->assign(proj.fields.size(), -1);
   for (size_t fi = 0; fi < proj.fields.size(); ++fi) {
     for (size_t ci = 0; ci < cols_.size(); ++ci) {
       if (cols_[ci].kind != ColumnDesc::Kind::kCatchAll &&
           cols_[ci].name == proj.fields[fi]) {
-        field_col[fi] = static_cast<int>(ci);
+        (*field_col)[fi] = static_cast<int>(ci);
         break;
       }
     }
-    if (field_col[fi] < 0 && catchall_idx_ >= 0) {
+    if ((*field_col)[fi] < 0 && catchall_idx_ >= 0) {
       return Status::NotImplemented("projected field may live in catch-all");
     }
   }
+  return Status::OK();
+}
+
+Status ColumnComponentReader::CanBatchScan(const Projection& proj) const {
+  std::vector<int> field_col;
+  return BatchColumns(proj, &field_col);
+}
+
+Status ColumnComponentReader::BatchScan(const ScanBounds& bounds,
+                                        const Projection& proj,
+                                        const BatchCallback& cb,
+                                        ProjectedScanStats* stats) const {
+  std::vector<int> field_col;
+  ASTERIX_RETURN_NOT_OK(BatchColumns(proj, &field_col));
 
   ProjectedScanStats local;
   uint64_t groups_pruned = 0;
@@ -848,7 +846,7 @@ Status ColumnComponentReader::BatchScan(const ScanBounds& bounds,
     }
     size_t lo = std::max(r0, g * kRowsPerGroup);
     size_t hi = std::min<size_t>(r1, (g + 1) * kRowsPerGroup);
-    if (GroupPrunable(g, proj, lo, hi, exclusions)) {
+    if (GroupPrunable(g, proj, lo, hi, {})) {
       ++groups_pruned;
       local.pages_pruned += needed_pages;
       local.bytes_skipped += group_bytes + avg_key_bytes * (hi - lo);
@@ -917,7 +915,7 @@ Status ColumnComponentReader::RangeScan(const ScanBounds& bounds,
                                         const EntryCallback& cb) const {
   Projection all = Projection::All();
   return ProjectedScan(
-      bounds, all, /*allow_pruning=*/false,
+      bounds, all, {},
       [&](const CompositeKey& key, bool antimatter, const adm::Value& rec) {
         IndexEntry e;
         e.key = key;

@@ -113,34 +113,23 @@ class ColumnComponentReader : public DiskComponentReader {
   Status RangeScan(const ScanBounds& bounds,
                    const EntryCallback& cb) const override;
   Status ProjectedScan(const ScanBounds& bounds, const Projection& proj,
-                       bool allow_pruning, const ProjectedEntryCallback& cb,
+                       std::span<const KeyInterval> exclusions,
+                       const ProjectedEntryCallback& cb,
                        ProjectedScanStats* stats) const override;
   bool MayContain(const CompositeKey& key) const override {
     return bloom_.MayContain(HashKey(key));
   }
+  bool KeyRange(CompositeKey* lo, CompositeKey* hi) const override;
 
-  /// ProjectedScan with min/max pruning that stays sound on multi-component
-  /// scans: a row group is skipped only when its key span is additionally
-  /// disjoint from every `exclusions` interval (the key ranges the other
-  /// components cover), so no pruned row can resurrect a stale version.
-  Status ProjectedScanPruned(const ScanBounds& bounds, const Projection& proj,
-                             const std::vector<KeyInterval>& exclusions,
-                             const ProjectedEntryCallback& cb,
-                             ProjectedScanStats* stats) const;
-
-  /// Vectorized scan: decodes the projected columns of each surviving row
-  /// group straight into typed ColumnBatch lanes — no per-row record
-  /// reconstruction. The selection vector excludes antimatter rows. Returns
-  /// Unimplemented when the projection cannot be satisfied from dedicated
-  /// columns alone (whole-record projections, or a field that may live in
-  /// the catch-all column); callers fall back to the row path.
-  /// `exclusions` as in ProjectedScanPruned (nullptr = prune freely).
+  /// NotImplemented when the projection cannot be satisfied from dedicated
+  /// columns alone: whole-record projections, or a field that may live in
+  /// the catch-all column.
+  Status CanBatchScan(const Projection& proj) const override;
+  /// Decodes the projected columns of each surviving row group straight
+  /// into typed ColumnBatch lanes — no per-row record reconstruction.
   Status BatchScan(const ScanBounds& bounds, const Projection& proj,
-                   const std::vector<KeyInterval>* exclusions,
-                   const BatchCallback& cb, ProjectedScanStats* stats) const;
-
-  /// The closed key interval this component covers; false when empty.
-  bool KeyRange(CompositeKey* lo, CompositeKey* hi) const;
+                   const BatchCallback& cb,
+                   ProjectedScanStats* stats) const override;
 
   uint64_t num_entries() const { return keys_.size(); }
   const std::vector<ColumnDesc>& schema() const { return cols_; }
@@ -165,19 +154,20 @@ class ColumnComponentReader : public DiskComponentReader {
     std::vector<std::vector<CatchEntry>> catchall;  // catch-all col only
   };
 
-  Status FetchPage(const ColumnDesc::Page& pg,
-                   std::vector<uint8_t>* raw) const;
-  Status ScanImpl(const ScanBounds& bounds, const Projection& proj,
-                  bool allow_pruning,
-                  const std::vector<KeyInterval>* exclusions,
-                  const ProjectedEntryCallback& cb,
-                  ProjectedScanStats* stats) const;
+  /// Reads page `pg` into `*buf` and points `*page` at its encoded column
+  /// data: a raw page is decoded in place from the bytes read, a compressed
+  /// one is decompressed into `*buf`.
+  Status FetchPage(const ColumnDesc::Page& pg, std::vector<uint8_t>* buf,
+                   std::span<const uint8_t>* page) const;
+  /// Column index of each projected field; -1 for a field a closed schema
+  /// proves absent. NotImplemented as CanBatchScan.
+  Status BatchColumns(const Projection& proj, std::vector<int>* field_col) const;
   /// Rows [r0, r1) of the key spine satisfying `bounds`.
   void BoundRows(const ScanBounds& bounds, size_t* r0, size_t* r1) const;
   /// Whether row group `g` (rows [lo, hi) in bounds) is provably dead for
   /// `proj.ranges` AND safe to skip given `exclusions`.
   bool GroupPrunable(size_t g, const Projection& proj, size_t lo, size_t hi,
-                     const std::vector<KeyInterval>* exclusions) const;
+                     std::span<const KeyInterval> exclusions) const;
   Status DecodeGroup(size_t col_idx, size_t group, DecodedColumn* out) const;
   /// Reads the listed columns for `group` into `cols_out` (indexed like
   /// cols_; untouched entries stay empty) and updates stats.

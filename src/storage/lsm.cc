@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <queue>
 #include <thread>
 
@@ -149,20 +150,32 @@ class RowComponentReader : public DiskComponentReader {
   }
 
   Status ProjectedScan(const ScanBounds& bounds, const column::Projection& proj,
-                       bool allow_pruning,
+                       std::span<const column::KeyInterval> exclusions,
                        const column::ProjectedEntryCallback& cb,
                        column::ProjectedScanStats* stats) const override {
-    (void)allow_pruning;  // no page stats in the row layout
+    (void)exclusions;  // no page stats in the row layout
+    std::vector<uint8_t> decoded;
     return btree_->RangeScan(bounds, [&](const IndexEntry& e) {
       if (stats != nullptr) stats->bytes_read += e.payload.size();
       if (e.antimatter) return cb(e.key, true, adm::Value::Missing());
-      std::vector<uint8_t> payload = e.payload;
-      if (compressed_) ASTERIX_RETURN_NOT_OK(DecodeRowPayload(&payload));
-      BytesReader r(payload);
+      const std::vector<uint8_t>* payload = &e.payload;
+      if (compressed_) {
+        decoded = e.payload;
+        ASTERIX_RETURN_NOT_OK(DecodeRowPayload(&decoded));
+        payload = &decoded;
+      }
+      BytesReader r(*payload);
       adm::Value rec;
       ASTERIX_RETURN_NOT_OK(adm::DeserializeTyped(&r, type_, &rec));
       return cb(e.key, false, column::ProjectRecord(rec, proj));
     });
+  }
+
+  bool KeyRange(CompositeKey* lo, CompositeKey* hi) const override {
+    if (btree_->num_entries() == 0) return false;
+    *lo = btree_->min_key();
+    *hi = btree_->max_key();
+    return true;
   }
 
   bool MayContain(const CompositeKey& key) const override {
@@ -912,96 +925,148 @@ Status LsmBTree::MultiGet(std::span<const CompositeKey> keys,
   return Status::OK();
 }
 
+bool LsmBTree::ListScanSourcesLocked(std::vector<ScanSource>* sources) const {
+  sources->clear();
+  auto add_mem = [&](const MemTable& table) {
+    if (table.empty()) return;
+    sources->push_back(ScanSource{
+        &table, nullptr, {table.begin()->first, table.rbegin()->first}});
+  };
+  add_mem(mem_);
+  if (imm_ != nullptr) add_mem(imm_->entries);
+  for (size_t i = disk_.size(); i > 0; --i) {
+    ScanSource src;
+    src.disk = disk_[i - 1].reader.get();
+    if (src.disk->KeyRange(&src.range.lo, &src.range.hi)) {
+      sources->push_back(std::move(src));
+    }
+  }
+  std::vector<size_t> order(sources->size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return CompareKeys((*sources)[a].range.lo, (*sources)[b].range.lo) < 0;
+  });
+  for (size_t k = 1; k < order.size(); ++k) {
+    if (CompareKeys((*sources)[order[k - 1]].range.hi,
+                    (*sources)[order[k]].range.lo) >= 0) {
+      return false;
+    }
+  }
+  std::vector<ScanSource> sorted;
+  sorted.reserve(order.size());
+  for (size_t i : order) sorted.push_back(std::move((*sources)[i]));
+  *sources = std::move(sorted);
+  return true;
+}
+
+namespace {
+
+/// Visits the entries of a memory component that fall within `bounds`, in
+/// key order, antimatter included.
+template <typename Table, typename Fn>
+Status ForEachInBounds(const Table& table, const ScanBounds& bounds,
+                       const Fn& fn) {
+  auto it = bounds.lo.has_value() ? table.lower_bound(*bounds.lo) : table.begin();
+  for (; it != table.end(); ++it) {
+    if (bounds.lo.has_value()) {
+      int c = BoundCompare(it->first, *bounds.lo);
+      if (c < 0 || (c == 0 && !bounds.lo_inclusive)) continue;
+    }
+    if (bounds.hi.has_value()) {
+      int c = BoundCompare(it->first, *bounds.hi);
+      if (c > 0 || (c == 0 && !bounds.hi_inclusive)) break;
+    }
+    ASTERIX_RETURN_NOT_OK(fn(it->first, it->second));
+  }
+  return Status::OK();
+}
+
+/// K-way merge of per-source sorted runs, newest run first: each key's
+/// newest version is emitted once, and a key whose newest version is
+/// antimatter is hidden. `Row` has `key` and `antimatter` members.
+template <typename Row, typename Emit>
+Status MergeNewestWins(const std::vector<std::vector<Row>>& runs,
+                       const Emit& emit) {
+  std::vector<size_t> pos(runs.size(), 0);
+  auto cmp = [&](size_t a, size_t b) {
+    int c = CompareKeys(runs[a][pos[a]].key, runs[b][pos[b]].key);
+    if (c != 0) return c > 0;  // min-heap by key
+    return a > b;              // newest (lowest run index) first
+  };
+  std::priority_queue<size_t, std::vector<size_t>, decltype(cmp)> heap(cmp);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (!runs[i].empty()) heap.push(i);
+  }
+  // Runs are not modified while merging, so the pointer stays valid.
+  const CompositeKey* last_key = nullptr;
+  while (!heap.empty()) {
+    size_t ri = heap.top();
+    heap.pop();
+    const Row& row = runs[ri][pos[ri]];
+    if (last_key == nullptr || CompareKeys(row.key, *last_key) != 0) {
+      last_key = &row.key;
+      if (!row.antimatter) ASTERIX_RETURN_NOT_OK(emit(row));
+    }
+    if (++pos[ri] < runs[ri].size()) heap.push(ri);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status LsmBTree::RangeScan(const ScanBounds& bounds,
                            const EntryCallback& cb) const {
   std::shared_lock lock(mu_);
-  // Fast path: a single disk component and empty memory components (the
-  // steady state after a flush or merge) needs no cross-component
-  // resolution — stream straight off the B+-tree, skipping tombstones.
-  if (mem_.empty() && imm_ == nullptr && disk_.size() <= 1) {
-    if (disk_.empty()) return Status::OK();
-    return disk_[0].reader->RangeScan(bounds, [&](const IndexEntry& e) {
-      if (e.antimatter) return Status::OK();
-      return cb(e);
-    });
-  }
-  // K-way merge across the memory components and all disk components with
-  // newest-wins, antimatter-hides resolution. Each component's qualifying
-  // entries arrive in key order; a priority queue merges the streams.
-  struct Cursor {
-    std::vector<IndexEntry> entries;
-    size_t pos = 0;
-    size_t rank = 0;  // 0 = newest (mutable memory component)
+  auto to_entry = [](const CompositeKey& key, const MemEntry& entry) {
+    IndexEntry e;
+    e.key = key;
+    e.antimatter = entry.antimatter;
+    e.payload = entry.payload;
+    return e;
   };
-  std::vector<Cursor> cursors;
-
-  auto collect_mem = [&](const MemTable& table) {
-    Cursor mem_cursor;
-    mem_cursor.rank = cursors.size();
-    auto mem_begin =
-        bounds.lo.has_value() ? table.lower_bound(*bounds.lo) : table.begin();
-    for (auto it = mem_begin; it != table.end(); ++it) {
-      const auto& key = it->first;
-      const auto& entry = it->second;
-      if (bounds.lo.has_value()) {
-        int c = BoundCompare(key, *bounds.lo);
-        if (c < 0 || (c == 0 && !bounds.lo_inclusive)) continue;
-      }
-      if (bounds.hi.has_value()) {
-        int c = BoundCompare(key, *bounds.hi);
-        if (c > 0 || (c == 0 && !bounds.hi_inclusive)) break;
-      }
-      IndexEntry e;
-      e.key = key;
-      e.antimatter = entry.antimatter;
-      e.payload = entry.payload;
-      mem_cursor.entries.push_back(std::move(e));
-    }
-    cursors.push_back(std::move(mem_cursor));
-  };
-  collect_mem(mem_);
-  if (imm_ != nullptr) collect_mem(imm_->entries);
-  for (size_t i = disk_.size(); i > 0; --i) {
-    Cursor c;
-    c.rank = cursors.size();
-    ASTERIX_RETURN_NOT_OK(disk_[i - 1].reader->RangeScan(
-        bounds, [&](const IndexEntry& e) {
-          c.entries.push_back(e);
-          return Status::OK();
-        }));
-    cursors.push_back(std::move(c));
-  }
-
-  auto cmp = [&](size_t a, size_t b) {
-    const IndexEntry& ea = cursors[a].entries[cursors[a].pos];
-    const IndexEntry& eb = cursors[b].entries[cursors[b].pos];
-    int c = CompareKeys(ea.key, eb.key);
-    if (c != 0) return c > 0;  // min-heap by key
-    return cursors[a].rank > cursors[b].rank;  // newest (lowest rank) first
-  };
-  std::priority_queue<size_t, std::vector<size_t>, decltype(cmp)> heap(cmp);
-  for (size_t i = 0; i < cursors.size(); ++i) {
-    if (!cursors[i].entries.empty()) heap.push(i);
-  }
-  const CompositeKey* last_key = nullptr;
-  CompositeKey last_key_storage;
-  while (!heap.empty()) {
-    size_t ci = heap.top();
-    heap.pop();
-    Cursor& cur = cursors[ci];
-    const IndexEntry& e = cur.entries[cur.pos];
-    bool duplicate = last_key != nullptr && CompareKeys(e.key, *last_key) == 0;
-    if (!duplicate) {
-      last_key_storage = e.key;
-      last_key = &last_key_storage;
-      if (!e.antimatter) {
-        ASTERIX_RETURN_NOT_OK(cb(e));
+  std::vector<ScanSource> sources;
+  if (ListScanSourcesLocked(&sources)) {
+    // Disjoint sources: every key has one version, so each source streams
+    // in key-range order and only tombstones are skipped.
+    for (const ScanSource& src : sources) {
+      if (src.mem != nullptr) {
+        ASTERIX_RETURN_NOT_OK(ForEachInBounds(
+            *src.mem, bounds,
+            [&](const CompositeKey& key, const MemEntry& entry) {
+              if (entry.antimatter) return Status::OK();
+              return cb(to_entry(key, entry));
+            }));
+      } else {
+        ASTERIX_RETURN_NOT_OK(
+            src.disk->RangeScan(bounds, [&](const IndexEntry& e) {
+              if (e.antimatter) return Status::OK();
+              return cb(e);
+            }));
       }
     }
-    ++cur.pos;
-    if (cur.pos < cur.entries.size()) heap.push(ci);
+    return Status::OK();
   }
-  return Status::OK();
+  // Overlapping sources: collect each one's qualifying entries (they arrive
+  // in key order) and merge newest-wins, antimatter hiding older matter.
+  std::vector<std::vector<IndexEntry>> runs(sources.size());
+  for (size_t i = 0; i < sources.size(); ++i) {
+    auto& run = runs[i];
+    if (sources[i].mem != nullptr) {
+      ASTERIX_RETURN_NOT_OK(ForEachInBounds(
+          *sources[i].mem, bounds,
+          [&](const CompositeKey& key, const MemEntry& entry) {
+            run.push_back(to_entry(key, entry));
+            return Status::OK();
+          }));
+    } else {
+      ASTERIX_RETURN_NOT_OK(
+          sources[i].disk->RangeScan(bounds, [&](const IndexEntry& e) {
+            run.push_back(e);
+            return Status::OK();
+          }));
+    }
+  }
+  return MergeNewestWins(runs, cb);
 }
 
 Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
@@ -1009,147 +1074,81 @@ Status LsmBTree::ProjectedScan(const ScanBounds& bounds,
                                const column::ProjectedEntryCallback& cb,
                                column::ProjectedScanStats* stats) const {
   std::shared_lock lock(mu_);
-  // Steady-state fast path: with one component and nothing in memory there
-  // is no cross-component resolution, so min/max pruning is sound — a
-  // skipped page group cannot hide a newer version of anything.
-  if (mem_.empty() && imm_ == nullptr && disk_.size() <= 1) {
-    if (disk_.empty()) return Status::OK();
-    return disk_[0].reader->ProjectedScan(
-        bounds, proj, /*allow_pruning=*/true,
-        [&](const CompositeKey& key, bool antimatter, const adm::Value& rec) {
-          if (antimatter) return Status::OK();
-          return cb(key, false, rec);
-        },
-        stats);
+  auto project = [&](const MemEntry& entry, adm::Value* out) -> Status {
+    if (stats != nullptr) stats->bytes_read += entry.payload.size();
+    if (entry.antimatter) return Status::OK();
+    BytesReader r(entry.payload);
+    adm::Value rec;
+    ASTERIX_RETURN_NOT_OK(adm::DeserializeTyped(&r, options_.record_type, &rec));
+    *out = column::ProjectRecord(rec, proj);
+    return Status::OK();
+  };
+  std::vector<ScanSource> sources;
+  if (ListScanSourcesLocked(&sources)) {
+    // Disjoint sources: no key has a second version, so min/max pruning is
+    // sound everywhere — a skipped page group cannot hide a newer version
+    // of anything, nor let an older one through.
+    for (const ScanSource& src : sources) {
+      if (src.mem != nullptr) {
+        ASTERIX_RETURN_NOT_OK(ForEachInBounds(
+            *src.mem, bounds,
+            [&](const CompositeKey& key, const MemEntry& entry) -> Status {
+              if (entry.antimatter) return Status::OK();
+              adm::Value rec;
+              ASTERIX_RETURN_NOT_OK(project(entry, &rec));
+              return cb(key, false, rec);
+            }));
+      } else {
+        ASTERIX_RETURN_NOT_OK(src.disk->ProjectedScan(
+            bounds, proj, {},
+            [&](const CompositeKey& key, bool antimatter, const adm::Value& rec) {
+              if (antimatter) return Status::OK();
+              return cb(key, false, rec);
+            },
+            stats));
+      }
+    }
+    return Status::OK();
   }
-  // Multi-component path: k-way merge of projected rows with newest-wins,
-  // antimatter-hides resolution. Pruning must stay off — dropping a page
-  // group from the newest component would let an older component's stale
-  // version of those rows win the merge.
+  // Overlapping sources: k-way merge of projected rows, newest wins and
+  // antimatter hides. A column component may still min/max-prune a page
+  // group whose key span is disjoint from every other source's range — no
+  // pruned key then has another version to resurrect.
   struct ProjRow {
     CompositeKey key;
     bool antimatter = false;
     adm::Value record;
   };
-  struct Cursor {
-    std::vector<ProjRow> rows;
-    size_t pos = 0;
-    size_t rank = 0;  // 0 = newest (mutable memory component)
-  };
-  std::vector<Cursor> cursors;
-  auto collect_mem = [&](const MemTable& table) -> Status {
-    Cursor mem_cursor;
-    mem_cursor.rank = cursors.size();
-    auto mem_begin =
-        bounds.lo.has_value() ? table.lower_bound(*bounds.lo) : table.begin();
-    for (auto it = mem_begin; it != table.end(); ++it) {
-      const auto& key = it->first;
-      const auto& entry = it->second;
-      if (bounds.lo.has_value()) {
-        int c = BoundCompare(key, *bounds.lo);
-        if (c < 0 || (c == 0 && !bounds.lo_inclusive)) continue;
-      }
-      if (bounds.hi.has_value()) {
-        int c = BoundCompare(key, *bounds.hi);
-        if (c > 0 || (c == 0 && !bounds.hi_inclusive)) break;
-      }
-      ProjRow row;
-      row.key = key;
-      row.antimatter = entry.antimatter;
-      if (stats != nullptr) stats->bytes_read += entry.payload.size();
-      if (!entry.antimatter) {
-        BytesReader r(entry.payload);
-        adm::Value rec;
-        ASTERIX_RETURN_NOT_OK(
-            adm::DeserializeTyped(&r, options_.record_type, &rec));
-        row.record = column::ProjectRecord(rec, proj);
-      }
-      mem_cursor.rows.push_back(std::move(row));
+  std::vector<std::vector<ProjRow>> runs(sources.size());
+  std::vector<column::KeyInterval> exclusions;
+  for (size_t i = 0; i < sources.size(); ++i) {
+    auto& run = runs[i];
+    if (sources[i].mem != nullptr) {
+      ASTERIX_RETURN_NOT_OK(ForEachInBounds(
+          *sources[i].mem, bounds,
+          [&](const CompositeKey& key, const MemEntry& entry) -> Status {
+            ProjRow row{key, entry.antimatter, adm::Value()};
+            ASTERIX_RETURN_NOT_OK(project(entry, &row.record));
+            run.push_back(std::move(row));
+            return Status::OK();
+          }));
+      continue;
     }
-    cursors.push_back(std::move(mem_cursor));
-    return Status::OK();
-  };
-  ASTERIX_RETURN_NOT_OK(collect_mem(mem_));
-  if (imm_ != nullptr) ASTERIX_RETURN_NOT_OK(collect_mem(imm_->entries));
-  // Per-component key intervals: a column component may still min/max-prune
-  // a row group on this multi-component path when the group's key span is
-  // disjoint from every *other* component (and the memory component) — no
-  // pruned key can then have another version to resurrect.
-  std::vector<column::KeyInterval> intervals(disk_.size());
-  std::vector<char> has_interval(disk_.size(), 0);
-  bool ranges_known = true;  // every non-empty sibling's key span is visible
-  for (size_t i = 0; i < disk_.size(); ++i) {
-    auto* col = dynamic_cast<const column::ColumnComponentReader*>(
-        disk_[i].reader.get());
-    if (col != nullptr && col->KeyRange(&intervals[i].lo, &intervals[i].hi)) {
-      has_interval[i] = 1;
-    } else if (disk_[i].info.num_entries > 0) {
-      ranges_known = false;  // row sibling: assume it covers everything
+    exclusions.clear();
+    for (size_t j = 0; j < sources.size(); ++j) {
+      if (j != i) exclusions.push_back(sources[j].range);
     }
+    ASTERIX_RETURN_NOT_OK(sources[i].disk->ProjectedScan(
+        bounds, proj, exclusions,
+        [&](const CompositeKey& key, bool antimatter, const adm::Value& rec) {
+          run.push_back(ProjRow{key, antimatter, rec});
+          return Status::OK();
+        },
+        stats));
   }
-  for (size_t i = disk_.size(); i > 0; --i) {
-    Cursor c;
-    c.rank = cursors.size();
-    auto* col = dynamic_cast<const column::ColumnComponentReader*>(
-        disk_[i - 1].reader.get());
-    auto collect = [&](const CompositeKey& key, bool antimatter,
-                       const adm::Value& rec) {
-      c.rows.push_back(ProjRow{key, antimatter, rec});
-      return Status::OK();
-    };
-    if (col != nullptr && ranges_known) {
-      std::vector<column::KeyInterval> exclusions;
-      for (size_t j = 0; j < disk_.size(); ++j) {
-        if (j != i - 1 && has_interval[j]) exclusions.push_back(intervals[j]);
-      }
-      if (!mem_.empty()) {
-        exclusions.push_back(
-            column::KeyInterval{mem_.begin()->first, mem_.rbegin()->first});
-      }
-      if (imm_ != nullptr && !imm_->entries.empty()) {
-        exclusions.push_back(column::KeyInterval{
-            imm_->entries.begin()->first, imm_->entries.rbegin()->first});
-      }
-      ASTERIX_RETURN_NOT_OK(
-          col->ProjectedScanPruned(bounds, proj, exclusions, collect, stats));
-    } else {
-      ASTERIX_RETURN_NOT_OK(disk_[i - 1].reader->ProjectedScan(
-          bounds, proj, /*allow_pruning=*/false, collect, stats));
-    }
-    cursors.push_back(std::move(c));
-  }
-
-  auto cmp = [&](size_t a, size_t b) {
-    const ProjRow& ra = cursors[a].rows[cursors[a].pos];
-    const ProjRow& rb = cursors[b].rows[cursors[b].pos];
-    int c = CompareKeys(ra.key, rb.key);
-    if (c != 0) return c > 0;  // min-heap by key
-    return cursors[a].rank > cursors[b].rank;  // newest (lowest rank) first
-  };
-  std::priority_queue<size_t, std::vector<size_t>, decltype(cmp)> heap(cmp);
-  for (size_t i = 0; i < cursors.size(); ++i) {
-    if (!cursors[i].rows.empty()) heap.push(i);
-  }
-  const CompositeKey* last_key = nullptr;
-  CompositeKey last_key_storage;
-  while (!heap.empty()) {
-    size_t ci = heap.top();
-    heap.pop();
-    Cursor& cur = cursors[ci];
-    const ProjRow& row = cur.rows[cur.pos];
-    bool duplicate =
-        last_key != nullptr && CompareKeys(row.key, *last_key) == 0;
-    if (!duplicate) {
-      last_key_storage = row.key;
-      last_key = &last_key_storage;
-      if (!row.antimatter) {
-        ASTERIX_RETURN_NOT_OK(cb(row.key, false, row.record));
-      }
-    }
-    ++cur.pos;
-    if (cur.pos < cur.rows.size()) heap.push(ci);
-  }
-  return Status::OK();
+  return MergeNewestWins(runs, [&](const ProjRow& row) {
+    return cb(row.key, false, row.record);
+  });
 }
 
 Status LsmBTree::BatchScan(const ScanBounds& bounds,
@@ -1160,21 +1159,27 @@ Status LsmBTree::BatchScan(const ScanBounds& bounds,
   if (options_.format != StorageFormat::kColumn) {
     return Status::NotImplemented("batch scan requires column storage");
   }
-  // Only the steady state qualifies: one disk component and empty memory
-  // components (mutable and rotated) mean no cross-component resolution, so
-  // column pages can stream out as typed batches directly. Anything else
+  // Column pages stream out as typed batches only when no row needs
+  // cross-component resolution: empty memory components (mutable and
+  // rotated) and disk components with disjoint key ranges. Anything else
   // needs row merging — the caller falls back to ProjectedScan + batch
   // rebuilding.
-  if (!mem_.empty() || imm_ != nullptr || disk_.size() > 1) {
-    return Status::NotImplemented("batch scan requires a merged component");
+  if (!mem_.empty() || imm_ != nullptr) {
+    return Status::NotImplemented("batch scan requires empty memory components");
   }
-  if (disk_.empty()) return Status::OK();
-  auto* col = dynamic_cast<const column::ColumnComponentReader*>(
-      disk_[0].reader.get());
-  if (col == nullptr) {
-    return Status::NotImplemented("batch scan requires column storage");
+  std::vector<ScanSource> sources;
+  if (!ListScanSourcesLocked(&sources)) {
+    return Status::NotImplemented("batch scan requires disjoint components");
   }
-  return col->BatchScan(bounds, proj, nullptr, cb, stats);
+  // Every component must be able to batch before the first batch leaves:
+  // the caller's row fallback would otherwise emit the earlier rows twice.
+  for (const ScanSource& src : sources) {
+    ASTERIX_RETURN_NOT_OK(src.disk->CanBatchScan(proj));
+  }
+  for (const ScanSource& src : sources) {
+    ASTERIX_RETURN_NOT_OK(src.disk->BatchScan(bounds, proj, cb, stats));
+  }
+  return Status::OK();
 }
 
 size_t LsmBTree::mem_entries() const {

@@ -222,26 +222,33 @@ class LsmBTree : public Compactable {
                   std::vector<LookupResult>* out,
                   column::ProjectedScanStats* stats) const;
 
+  // Scans read the memory components (mem_, imm_) and every disk component
+  // as sources, each covering a closed key range (antimatter included).
+  // When no two ranges overlap, no key has a second version: each source
+  // streams on its own, in key-range order, with nothing copied and
+  // tombstones skipped. Otherwise the sources' rows are merged newest-wins.
+
   /// LSM-resolved ordered range scan across all components.
   Status RangeScan(const ScanBounds& bounds, const EntryCallback& cb) const;
 
   /// LSM-resolved scan materializing only the projection's fields (the
   /// callback's antimatter flag is always false — resolution happens here).
   /// Column components read only the touched column pages and skip page
-  /// groups via per-page min/max stats: freely in the single-component
-  /// steady state, and on multi-component scans only for groups whose key
-  /// span is disjoint from every other component (a skipped group that
-  /// overlapped another component could resurrect an older version of its
-  /// rows). `stats` (optional) accumulates bytes/pages.
+  /// groups via per-page min/max stats: freely when the sources are
+  /// disjoint, and on merging scans only for groups whose key span is
+  /// disjoint from every other source (a skipped group that overlapped
+  /// another source could resurrect an older version of its rows).
+  /// `stats` (optional) accumulates bytes/pages.
   Status ProjectedScan(const ScanBounds& bounds, const column::Projection& proj,
                        const column::ProjectedEntryCallback& cb,
                        column::ProjectedScanStats* stats) const;
 
-  /// Vectorized scan: in the columnar single-component steady state, hands
-  /// decoded column pages to the caller as typed ColumnBatches without row
-  /// reconstruction (antimatter rows excluded via the selection vector).
-  /// Returns Unimplemented whenever cross-component resolution or row
-  /// assembly would be required — callers fall back to ProjectedScan.
+  /// Vectorized scan: with empty memory components and disjoint column
+  /// components, hands decoded column pages to the caller as typed
+  /// ColumnBatches in key order, without row reconstruction (antimatter
+  /// rows excluded via the selection vector). Returns NotImplemented,
+  /// before any batch is emitted, whenever cross-component resolution or
+  /// row assembly would be required — callers fall back to ProjectedScan.
   Status BatchScan(const ScanBounds& bounds, const column::Projection& proj,
                    const column::BatchCallback& cb,
                    column::ProjectedScanStats* stats) const;
@@ -278,6 +285,18 @@ class LsmBTree : public Compactable {
     uint64_t max_lsn = 0;
   };
 
+  /// One scan source: a memory component or a disk component, with the
+  /// closed key range its entries cover.
+  struct ScanSource {
+    const MemTable* mem = nullptr;
+    const DiskComponentReader* disk = nullptr;
+    column::KeyInterval range;
+  };
+
+  /// Lists the non-empty components as scan sources, newest first (mem_,
+  /// imm_, then disk_ newest to oldest). Returns true when their key ranges
+  /// are pairwise disjoint, and then re-orders `sources` by key range.
+  bool ListScanSourcesLocked(std::vector<ScanSource>* sources) const;
   /// Opens a disk component with the reader matching options_.format.
   Status OpenReader(const std::string& path,
                     std::shared_ptr<DiskComponentReader>* out) const;

@@ -519,19 +519,24 @@ return { "uname": $user.name, "message": $message.message };)aql");
   EXPECT_NE(plan.find("ms="), std::string::npos) << plan;
   EXPECT_NE(plan.find("hybrid-hash-join"), std::string::npos) << plan;
 
-  // The structured profile behind the text: each dataset scan's output,
-  // summed over instances, is exactly the dataset's cardinality, on a
-  // cluster of more than one node.
+  // The structured profile behind the text: each dataset scan's output plus
+  // the rows its runtime filter dropped (the probe-side scan of the hash
+  // join), summed over instances, is exactly the dataset's cardinality, on
+  // a cluster of more than one node.
   ASSERT_TRUE(r.value().stats.profile);
   const hyracks::JobProfile& prof = *r.value().stats.profile;
   EXPECT_GT(prof.num_nodes, 1);
   uint64_t users_scanned = 0, msgs_scanned = 0;
+  int filtered_scans = 0;
   // Scan names carry the pushed-down projection ("scan(X) project=[...]");
   // match on the prefix.
   for (const auto& op : prof.Rollup()) {
-    if (op.name.rfind("scan(MugshotUsers)", 0) == 0) users_scanned = op.tuples_out;
-    if (op.name.rfind("scan(MugshotMessages)", 0) == 0) msgs_scanned = op.tuples_out;
+    uint64_t rows = op.tuples_out + op.filtered_rows;
+    if (op.name.rfind("scan(MugshotUsers)", 0) == 0) users_scanned = rows;
+    if (op.name.rfind("scan(MugshotMessages)", 0) == 0) msgs_scanned = rows;
+    if (op.name.find("runtime-filter") != std::string::npos) ++filtered_scans;
   }
+  EXPECT_EQ(filtered_scans, 1) << plan;
   EXPECT_EQ(users_scanned, users_card);
   EXPECT_EQ(msgs_scanned, msgs_card);
   // Every span is complete (started and ended), and elapsed is sane.

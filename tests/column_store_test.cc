@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "common/env.h"
 #include "common/metrics.h"
 #include "hand_plan.h"
+#include "hyracks/operators.h"
 #include "storage/lsm.h"
 
 namespace asterix {
@@ -794,6 +797,406 @@ TEST_F(CountProjectionTest, CountOfLeftOuterPaddedBinding) {
     EXPECT_EQ(preserved, kRows - 1800);
     EXPECT_GT(matched, 0);
   }
+}
+
+// --- One scan rule across LSM layouts ---------------------------------------
+//
+// Every layout is checked against a model of the live rows: sources whose
+// key ranges are disjoint stream one after another, overlapping ones merge,
+// and either way RangeScan, ProjectedScan and (on column trees) BatchScan
+// return exactly the model's rows, bounded or not, pruned or not.
+
+using Model = std::map<int64_t, Value>;
+
+struct LayoutWriter {
+  LsmBTree* tree;
+  Model* model;
+  adm::DatatypePtr type;
+  std::mt19937 rng{11};
+  uint64_t lsn = 1;
+
+  void Put(int64_t id) {
+    Value rec = RandomRecord(rng, id);
+    ASSERT_TRUE(tree->Upsert({Value::Int64(id)}, Ser(rec, type), lsn++).ok());
+    (*model)[id] = rec;
+  }
+  void Del(int64_t id) {
+    ASSERT_TRUE(tree->Delete({Value::Int64(id)}, lsn++).ok());
+    model->erase(id);
+  }
+  void Flush() { ASSERT_TRUE(tree->Flush().ok()); }
+};
+
+struct KeyBounds {
+  std::optional<int64_t> lo, hi;
+  bool lo_inclusive = true, hi_inclusive = true;
+
+  ScanBounds ToScan() const {
+    ScanBounds b;
+    if (lo) b.lo = CompositeKey{Value::Int64(*lo)};
+    if (hi) b.hi = CompositeKey{Value::Int64(*hi)};
+    b.lo_inclusive = lo_inclusive;
+    b.hi_inclusive = hi_inclusive;
+    return b;
+  }
+  bool Contains(int64_t k) const {
+    if (lo && (k < *lo || (k == *lo && !lo_inclusive))) return false;
+    if (hi && (k > *hi || (k == *hi && !hi_inclusive))) return false;
+    return true;
+  }
+};
+
+// The score range the pruned scans push down; the check applies it after
+// the scan, as the Select above a real scan does.
+bool ScoreInRange(const Value& rec) {
+  const Value& s = rec.GetField("score");
+  return !s.IsUnknown() && s.AsDouble() >= 20.0 && s.AsDouble() < 60.0;
+}
+
+column::Projection ScoreRanged(std::vector<std::string> fields) {
+  column::Projection proj = column::Projection::Of(std::move(fields));
+  column::FieldRange fr;
+  fr.field = "score";
+  fr.lo = Value::Double(20.0);
+  fr.hi = Value::Double(60.0);
+  fr.hi_inclusive = false;
+  proj.ranges.push_back(fr);
+  return proj;
+}
+
+// Rows as (key, record), compared field by field over `fields` (all fields
+// when empty).
+void ExpectRowsMatch(const std::vector<std::pair<int64_t, Value>>& got,
+                     const std::vector<std::pair<int64_t, Value>>& want,
+                     const std::vector<std::string>& fields,
+                     const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].first, want[i].first) << what << " @" << i;
+    if (fields.empty()) {
+      EXPECT_EQ(got[i].second.Compare(want[i].second), 0)
+          << what << " key " << got[i].first << "\n  got:  "
+          << got[i].second.ToString() << "\n  want: " << want[i].second.ToString();
+      continue;
+    }
+    for (const std::string& f : fields) {
+      EXPECT_EQ(got[i].second.GetField(f).Compare(want[i].second.GetField(f)), 0)
+          << what << " key " << got[i].first << " field " << f;
+    }
+  }
+}
+
+void CheckLayout(const LsmBTree& tree, const Model& model,
+                 const adm::DatatypePtr& type, bool batches_expected,
+                 const std::string& layout) {
+  const std::vector<std::string> narrow = {"id", "score", "tag"};
+  const std::vector<std::string> batchable = {"id", "score"};
+  std::vector<KeyBounds> bounds(5);
+  bounds[1].lo = 37;
+  bounds[1].hi = 251;
+  bounds[2].lo = 199;
+  bounds[2].hi = 401;
+  bounds[2].lo_inclusive = false;
+  bounds[2].hi_inclusive = false;
+  bounds[3].lo = 150;
+  bounds[4].hi = 200;
+  bounds[4].hi_inclusive = false;
+  for (size_t bi = 0; bi < bounds.size(); ++bi) {
+    const KeyBounds& kb = bounds[bi];
+    std::string what = layout + "/bounds" + std::to_string(bi);
+    std::vector<std::pair<int64_t, Value>> want, want_ranged;
+    for (const auto& [k, rec] : model) {
+      if (!kb.Contains(k)) continue;
+      want.emplace_back(k, rec);
+      if (ScoreInRange(rec)) want_ranged.emplace_back(k, rec);
+    }
+
+    std::vector<std::pair<int64_t, Value>> got;
+    ASSERT_TRUE(tree.RangeScan(kb.ToScan(), [&](const IndexEntry& e) {
+      EXPECT_FALSE(e.antimatter);
+      got.emplace_back(e.key[0].AsInt(), Deser(e.payload, type));
+      return Status::OK();
+    }).ok());
+    ExpectRowsMatch(got, want, {}, what + "/rangescan");
+
+    auto projected = [&](const column::Projection& proj) {
+      std::vector<std::pair<int64_t, Value>> rows;
+      Status st = tree.ProjectedScan(
+          kb.ToScan(), proj,
+          [&](const CompositeKey& key, bool antimatter, const Value& rec) {
+            EXPECT_FALSE(antimatter);
+            rows.emplace_back(key[0].AsInt(), rec);
+            return Status::OK();
+          },
+          nullptr);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      return rows;
+    };
+    ExpectRowsMatch(projected(column::Projection::All()), want, {},
+                    what + "/project-all");
+    ExpectRowsMatch(projected(column::Projection::Of(narrow)), want, narrow,
+                    what + "/project-narrow");
+    std::vector<std::pair<int64_t, Value>> pruned;
+    for (auto& row : projected(ScoreRanged(narrow))) {
+      if (ScoreInRange(row.second)) pruned.push_back(std::move(row));
+    }
+    ExpectRowsMatch(pruned, want_ranged, narrow, what + "/project-pruned");
+
+    for (bool ranged : {false, true}) {
+      column::Projection proj =
+          ranged ? ScoreRanged(batchable) : column::Projection::Of(batchable);
+      std::vector<std::pair<int64_t, Value>> rows;
+      size_t batches = 0;
+      Status st = tree.BatchScan(
+          kb.ToScan(), proj,
+          [&](const std::shared_ptr<column::ColumnBatch>& batch) {
+            ++batches;
+            for (uint32_t r : batch->sel.rows) {
+              Value rec = batch->MaterializeRow(r);
+              if (ranged && !ScoreInRange(rec)) continue;
+              rows.emplace_back(rec.GetField("id").AsInt(), rec);
+            }
+            return Status::OK();
+          },
+          nullptr);
+      std::string bwhat = what + (ranged ? "/batch-pruned" : "/batch");
+      if (!batches_expected) {
+        EXPECT_EQ(st.code(), StatusCode::kNotImplemented) << bwhat;
+        EXPECT_EQ(batches, 0u) << bwhat;
+        continue;
+      }
+      ASSERT_TRUE(st.ok()) << bwhat << ": " << st.ToString();
+      std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+        return a.first < b.first;
+      });
+      ExpectRowsMatch(rows, ranged ? want_ranged : want, batchable, bwhat);
+    }
+  }
+}
+
+TEST(ColumnStoreTest, ScanRuleMatchesModelAcrossLayouts) {
+  adm::DatatypePtr type = TestType();
+  // Each layout writes through `w` and reports whether a column tree must
+  // serve BatchScan (empty memtables, pairwise-disjoint components).
+  struct Layout {
+    const char* name;
+    std::function<void(LayoutWriter&)> build;
+    bool batches;
+  };
+  std::vector<Layout> layouts = {
+      {"ascending-disjoint",
+       [](LayoutWriter& w) {
+         for (int64_t id = 0; id < 600; ++id) {
+           w.Put(id);
+           if (id % 150 == 149) w.Flush();
+         }
+       },
+       true},
+      {"random-overlap",
+       [](LayoutWriter& w) {
+         std::mt19937 keys(5);
+         for (int op = 0; op < 600; ++op) {
+           int64_t id = static_cast<int64_t>(keys() % 450);
+           if (keys() % 5 == 0) {
+             w.Del(id);
+           } else {
+             w.Put(id);
+           }
+           if (op % 150 == 149) w.Flush();
+         }
+       },
+       false},
+      {"antimatter-boundary-overlap",
+       [](LayoutWriter& w) {
+         for (int64_t id = 0; id < 200; ++id) w.Put(id);
+         w.Flush();
+         w.Del(199);  // the older component's last key
+         for (int64_t id = 200; id < 400; ++id) w.Put(id);
+         w.Flush();
+       },
+       false},
+      {"antimatter-boundary-disjoint",
+       [](LayoutWriter& w) {
+         for (int64_t id = 0; id < 200; ++id) w.Put(id);
+         w.Flush();
+         w.Del(200);  // never written: a tombstone opens the component
+         for (int64_t id = 201; id < 400; ++id) w.Put(id);
+         w.Del(399);  // and one closes it
+         w.Flush();
+         for (int64_t id = 400; id < 520; ++id) w.Put(id);
+         w.Flush();
+       },
+       true},
+      {"memtable-above",
+       [](LayoutWriter& w) {
+         for (int64_t id = 0; id < 400; ++id) {
+           w.Put(id);
+           if (id % 200 == 199) w.Flush();
+         }
+         for (int64_t id = 450; id < 500; ++id) w.Put(id);
+         w.Del(470);
+       },
+       false},
+      {"memtable-inside",
+       [](LayoutWriter& w) {
+         for (int64_t id = 0; id < 400; ++id) {
+           w.Put(id);
+           if (id % 200 == 199) w.Flush();
+         }
+         for (int64_t id = 190; id < 215; ++id) w.Put(id);
+         w.Del(100);
+         w.Del(300);
+       },
+       false},
+  };
+  for (const Layout& layout : layouts) {
+    for (StorageFormat format : {StorageFormat::kRow, StorageFormat::kColumn}) {
+      for (bool compress : {false, true}) {
+        std::string name = std::string(layout.name) +
+                           (format == StorageFormat::kRow ? "/row" : "/column") +
+                           (compress ? "/lz" : "");
+        SCOPED_TRACE(name);
+        std::string dir = env::NewScratchDir("colstore-layout");
+        BufferCache cache(4096);
+        LsmOptions opts;
+        opts.format = format;
+        opts.record_type = type;
+        opts.compress = compress;
+        opts.merge_policy = MergePolicy::None();  // keep every component
+        auto tree = std::make_unique<LsmBTree>(&cache, dir, "t", opts);
+        ASSERT_TRUE(tree->Open().ok());
+        Model model;
+        LayoutWriter w{tree.get(), &model, type};
+        layout.build(w);
+        ASSERT_GE(tree->num_disk_components(), 2u);
+        bool batches = layout.batches && format == StorageFormat::kColumn;
+        CheckLayout(*tree, model, type, batches, name);
+        // Reopened: components come back from their files; the memtable is
+        // gone (nothing replays it here), so the model drops it too.
+        if (tree->mem_entries() == 0) {
+          tree = std::make_unique<LsmBTree>(&cache, dir, "t", opts);
+          ASSERT_TRUE(tree->Open().ok());
+          CheckLayout(*tree, model, type, batches, name + "/reopened");
+        }
+        env::RemoveAll(dir);
+      }
+    }
+  }
+}
+
+// Two disjoint column components that disagree on where a projected field
+// lives: the older keeps "tag" in a promoted column, the newer in its
+// catch-all (mixed types). BatchScan must refuse before the first batch —
+// otherwise the vector scan's row fallback would repeat the rows already
+// sent — and the vector scan must return every row exactly once.
+TEST(ColumnStoreTest, MixedSchemaBatchScanRefusesBeforeAnyBatch) {
+  adm::DatatypePtr type = TestType();
+  std::string dir = env::NewScratchDir("colstore-mixed");
+  BufferCache cache(4096);
+  LsmOptions opts;
+  opts.format = StorageFormat::kColumn;
+  opts.record_type = type;
+  LsmBTree tree(&cache, dir, "t", opts);
+  ASSERT_TRUE(tree.Open().ok());
+  auto record = [](int64_t id, Value tag) {
+    RecordBuilder b;
+    b.Add("id", Value::Int64(id));
+    b.Add("name", Value::String("n"));
+    b.Add("active", Value::Boolean(true));
+    b.Add("payload", Value::String("p"));
+    b.Add("tag", std::move(tag));
+    return b.Build();
+  };
+  uint64_t lsn = 1;
+  for (int64_t id = 0; id < 300; ++id) {
+    Value tag = id < 150 || id % 2 == 0 ? Value::String("t" + std::to_string(id))
+                                        : Value::Int64(id);
+    ASSERT_TRUE(
+        tree.Upsert({Value::Int64(id)}, Ser(record(id, tag), type), lsn++).ok());
+    if (id == 149) {
+      ASSERT_TRUE(tree.Flush().ok());
+    }
+  }
+  ASSERT_TRUE(tree.Flush().ok());
+  ASSERT_EQ(tree.num_disk_components(), 2u);
+  size_t batches = 0;
+  Status st = tree.BatchScan(
+      ScanBounds{}, column::Projection::Of({"id", "tag"}),
+      [&](const std::shared_ptr<column::ColumnBatch>&) {
+        ++batches;
+        return Status::OK();
+      },
+      nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kNotImplemented) << st.ToString();
+  EXPECT_EQ(batches, 0u);
+  // A projection both components hold in dedicated columns still batches.
+  st = tree.BatchScan(
+      ScanBounds{}, column::Projection::Of({"id"}),
+      [&](const std::shared_ptr<column::ColumnBatch>& b) {
+        batches += b->sel.size();
+        return Status::OK();
+      },
+      nullptr);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(batches, 300u);
+  env::RemoveAll(dir);
+}
+
+TEST(ColumnStoreTest, MixedSchemaVectorScanReturnsEachRowOnce) {
+  std::string dir = env::NewScratchDir("colstore-mixed-api");
+  api::InstanceConfig config;
+  config.base_dir = dir;
+  config.cluster.num_nodes = 1;
+  config.cluster.partitions_per_node = 1;
+  config.cluster.job_startup_us = 0;
+  api::AsterixInstance inst(config);
+  ASSERT_TRUE(inst.Boot().ok());
+  auto ddl = inst.Execute(R"aql(
+drop dataverse MixTest if exists;
+create dataverse MixTest;
+use dataverse MixTest;
+create type MT as open { id: int64 }
+create dataset M(MT) primary key id with { "storage-format": "column" };
+)aql");
+  ASSERT_TRUE(ddl.ok()) << ddl.status().ToString();
+  // Two loads, each flushed into its own component: ids 0..99 carry a string
+  // "tag" (promoted column), ids 100..199 a mix of strings and ints
+  // (catch-all).
+  for (int part = 0; part < 2; ++part) {
+    std::string stmt = "use dataverse MixTest;\ninsert into dataset M ([";
+    for (int i = part * 100; i < part * 100 + 100; ++i) {
+      if (i != part * 100) stmt += ",";
+      std::string tag = part == 1 && i % 2 == 1
+                            ? std::to_string(i)
+                            : "\"t" + std::to_string(i) + "\"";
+      stmt += "{ \"id\": " + std::to_string(i) + ", \"tag\": " + tag + " }";
+    }
+    stmt += "]);";
+    auto ins = inst.Execute(stmt);
+    ASSERT_TRUE(ins.ok()) << ins.status().ToString();
+    ASSERT_TRUE(inst.FlushAll().ok());
+  }
+  storage::PartitionedDataset* ds = inst.FindDataset("MixTest.M");
+  ASSERT_NE(ds, nullptr);
+
+  hyracks::JobSpec job;
+  int scan = job.AddOperator(
+      hyracks::MakeVectorScan(ds, column::Projection::Of({"id", "tag"})));
+  int mat = job.AddOperator(hyracks::MakeVectorMaterialize(1));
+  auto sink = std::make_shared<std::vector<hyracks::Tuple>>();
+  int res = job.AddOperator(hyracks::MakeResultSink(sink));
+  job.Connect(hyracks::ConnectorType::kOneToOne, scan, mat);
+  job.Connect(hyracks::ConnectorType::kOneToOne, mat, res);
+  auto stats = inst.cluster()->ExecuteJob(job);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  std::map<int64_t, int> seen;
+  for (const auto& t : *sink) {
+    ++seen[t[0].GetField("id").AsInt()];
+    EXPECT_FALSE(t[0].GetField("tag").IsUnknown()) << t[0].ToString();
+  }
+  ASSERT_EQ(seen.size(), 200u);
+  for (const auto& [id, n] : seen) EXPECT_EQ(n, 1) << "id " << id;
+  env::RemoveAll(dir);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "hyracks/channel.h"
 #include "hyracks/cluster.h"
@@ -100,6 +102,194 @@ TEST(ChannelTest, MergeChannelWaitsForSlowProducer) {
   ASSERT_TRUE(r.ok() && r.value());
   EXPECT_EQ(t[0].AsInt(), 5);
   slow.join();
+}
+
+// ---------------------------------------------------------------------------
+// Frame return: a consumed frame goes back to the producer that filled it,
+// and that producer's next Push frees it on the producer's own thread.
+// ---------------------------------------------------------------------------
+
+// A batch frame whose destruction is observable: the deleter records the
+// freeing thread.
+struct TrackedFrame {
+  Frame frame;
+  std::weak_ptr<storage::column::ColumnBatch> alive;
+};
+
+TrackedFrame Tracked(std::thread::id* freed_on = nullptr) {
+  std::shared_ptr<storage::column::ColumnBatch> batch(
+      new storage::column::ColumnBatch, [freed_on](storage::column::ColumnBatch* b) {
+        if (freed_on != nullptr) *freed_on = std::this_thread::get_id();
+        delete b;
+      });
+  batch->num_rows = 1;
+  batch->sel.rows = {0};
+  TrackedFrame t;
+  t.alive = batch;
+  t.frame.batch = std::move(batch);
+  return t;
+}
+
+TEST(FrameReturnTest, ConsumedFrameIsFreedByItsProducersNextPush) {
+  FifoChannel ch(2, /*capacity_frames=*/4);
+  TrackedFrame a = Tracked(), b = Tracked(), c = Tracked(), d = Tracked();
+  ch.Push(0, std::move(a.frame));
+  ch.Push(1, std::move(b.frame));
+  Frame f;
+  ASSERT_TRUE(ch.NextFrame(&f).value());
+  EXPECT_EQ(f.producer, 0);
+  EXPECT_EQ(ch.returned_frames(), 0u);  // still held by the consumer
+  ASSERT_TRUE(ch.NextFrame(&f).value());
+  EXPECT_EQ(f.producer, 1);
+  EXPECT_EQ(ch.returned_frames(), 1u);  // a is back, waiting for producer 0
+  EXPECT_FALSE(a.alive.expired());
+  ch.Push(1, std::move(c.frame));  // another producer's push keeps it
+  EXPECT_FALSE(a.alive.expired());
+  ch.Push(0, std::move(d.frame));  // its own producer frees it
+  EXPECT_TRUE(a.alive.expired());
+  EXPECT_EQ(ch.returned_frames(), 0u);
+  ch.ProducerDone(0);
+  ch.ProducerDone(1);
+  while (ch.NextFrame(&f).value()) {
+  }
+  // b, c, d came back after their producers' last pushes: freed with the
+  // channel.
+  EXPECT_EQ(ch.returned_frames(), 3u);
+  EXPECT_FALSE(d.alive.expired());
+}
+
+TEST(FrameReturnTest, ProducerThreadFreesWhatItFilled) {
+  constexpr int kFrames = 64;
+  constexpr size_t kCapacity = 2;
+  std::vector<std::thread::id> freed_on(kFrames);
+  std::vector<std::weak_ptr<storage::column::ColumnBatch>> alive(kFrames);
+  std::thread::id producer_id;
+  {
+    FifoChannel ch(1, kCapacity);
+    std::thread producer([&] {
+      producer_id = std::this_thread::get_id();
+      for (int i = 0; i < kFrames; ++i) {
+        TrackedFrame t = Tracked(&freed_on[i]);
+        alive[i] = t.alive;
+        ch.Push(0, std::move(t.frame));
+      }
+      ch.ProducerDone(0);
+    });
+    Frame f;
+    int pulled = 0;
+    while (true) {
+      auto r = ch.NextFrame(&f);
+      EXPECT_TRUE(r.ok());  // not ASSERT: the producer must be joined
+      if (!r.ok() || !r.value()) break;
+      ++pulled;
+    }
+    producer.join();
+    EXPECT_EQ(pulled, kFrames);
+  }
+  int on_producer = 0;
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_TRUE(alive[i].expired()) << i;
+    if (freed_on[i] == producer_id) ++on_producer;
+  }
+  // Only frames returned after the last push (at most the queue plus the one
+  // the consumer held) are freed elsewhere.
+  EXPECT_GE(on_producer, kFrames - static_cast<int>(kCapacity) - 1);
+}
+
+TEST(FrameReturnTest, FailCancelAndTeardownFreeReturnedFrames) {
+  for (int mode = 0; mode < 3; ++mode) {
+    SCOPED_TRACE(mode);
+    TrackedFrame a = Tracked(), b = Tracked();
+    {
+      FifoChannel ch(1, 4);
+      ch.Push(0, std::move(a.frame));
+      ch.Push(0, std::move(b.frame));
+      Frame f;
+      ASSERT_TRUE(ch.NextFrame(&f).value());
+      ASSERT_TRUE(ch.NextFrame(&f).value());
+      ASSERT_EQ(ch.returned_frames(), 1u);
+      if (mode == 0) ch.Fail(Status::Internal("boom"));
+      if (mode == 1) ch.CancelConsumer();
+      if (mode < 2) {
+        EXPECT_TRUE(a.alive.expired());
+        EXPECT_EQ(ch.returned_frames(), 0u);
+        // A frame returned after the stream ended is freed right away.
+        f = Frame{};
+        TrackedFrame late = Tracked();
+        ch.ReturnFrame(std::move(late.frame));
+        EXPECT_TRUE(late.alive.expired());
+        EXPECT_EQ(ch.returned_frames(), 0u);
+      } else {
+        EXPECT_FALSE(a.alive.expired());
+      }
+    }
+    EXPECT_TRUE(a.alive.expired());
+    EXPECT_TRUE(b.alive.expired());
+  }
+}
+
+TEST(FrameReturnTest, CapacityBoundsReturnedFrames) {
+  // Capacity 1: two returned frames may wait (capacity + 1); the consumer
+  // frees the third.
+  FifoChannel ch(3, 1);
+  TrackedFrame a = Tracked(), b = Tracked(), c = Tracked(), d = Tracked();
+  Frame f;
+  ch.Push(0, std::move(a.frame));
+  ASSERT_TRUE(ch.NextFrame(&f).value());
+  ch.Push(1, std::move(b.frame));
+  ASSERT_TRUE(ch.NextFrame(&f).value());  // returns a
+  ch.Push(2, std::move(c.frame));
+  ASSERT_TRUE(ch.NextFrame(&f).value());  // returns b
+  EXPECT_EQ(ch.returned_frames(), 2u);
+  ch.Push(2, std::move(d.frame));
+  ASSERT_TRUE(ch.NextFrame(&f).value());  // returns c: over the bound
+  EXPECT_EQ(ch.returned_frames(), 2u);
+  EXPECT_FALSE(a.alive.expired());
+  EXPECT_FALSE(b.alive.expired());
+  EXPECT_TRUE(c.alive.expired());
+
+  // An unbounded channel keeps nothing: the consumer frees as it goes.
+  FifoChannel unbounded(1);
+  TrackedFrame x = Tracked(), y = Tracked();
+  unbounded.Push(0, std::move(x.frame));
+  unbounded.Push(0, std::move(y.frame));
+  ASSERT_TRUE(unbounded.NextFrame(&f).value());
+  ASSERT_TRUE(unbounded.NextFrame(&f).value());
+  EXPECT_EQ(unbounded.returned_frames(), 0u);
+  EXPECT_TRUE(x.alive.expired());
+}
+
+Frame Rows(std::vector<Tuple> tuples) {
+  Frame f;
+  f.tuples = std::move(tuples);
+  return f;
+}
+
+TEST(FrameReturnTest, CountingChannelAndTupleShimReturnFrames) {
+  FifoChannel inner(1, 4);
+  uint64_t consumed = 0;
+  CountingChannel counting(&inner, &consumed);
+  inner.Push(0, Rows({T(1), T(2)}));
+  inner.Push(0, Rows({T(3)}));
+  inner.ProducerDone(0);
+  Frame f;
+  ASSERT_TRUE(counting.NextFrame(&f).value());
+  ASSERT_TRUE(counting.NextFrame(&f).value());
+  EXPECT_EQ(inner.returned_frames(), 1u);
+  EXPECT_FALSE(counting.NextFrame(&f).value());
+  EXPECT_EQ(inner.returned_frames(), 2u);
+  EXPECT_EQ(consumed, 3u);
+
+  // Next() hands back each frame once its tuples are used up.
+  FifoChannel shim(1, 4);
+  shim.Push(0, Rows({T(1), T(2)}));
+  shim.Push(0, Rows({T(3)}));
+  shim.ProducerDone(0);
+  Tuple t;
+  std::vector<int64_t> got;
+  while (shim.Next(&t).value()) got.push_back(t[0].AsInt());
+  EXPECT_EQ(got, (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(shim.returned_frames(), 2u);
 }
 
 // ---------------------------------------------------------------------------

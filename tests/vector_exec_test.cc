@@ -387,9 +387,11 @@ TEST(VectorExecTest, KernelEquivalenceAcrossLsmPhases) {
       CheckBatchesAgainstRows(FallbackBatches(rows, ProjFields()), rows,
                               std::string(phase) + "/fallback");
       // Direct path: typed batches straight off the column pages
-      // (dedicated-column fields only). Only in the single-component steady
-      // state; otherwise the scan must decline with NotImplemented (never
-      // silently produce wrong batches).
+      // (dedicated-column fields only). Only with empty memory components
+      // and disk components whose key ranges are disjoint (the random keys
+      // here overlap, so only a single component qualifies); otherwise the
+      // scan must decline with NotImplemented (never silently produce wrong
+      // batches).
       std::vector<Value> direct_rows =
           CollectRows(*tree, DirectFields(), nullptr);
       std::vector<std::shared_ptr<ColumnBatch>> direct;
